@@ -6,6 +6,7 @@ counting-bound inequalities, and decides CR isometry/isospectrality of
 3-dimensional lens spaces.
 """
 from .core import (
+    DEFAULT_BUDGET,
     DimensionTooSmall,
     DomainViolation,
     InsufficientSamples,
@@ -25,7 +26,6 @@ from .core import (
 )
 from .sphere import dim_hpq, eigenvalue, sphere_counting
 from .invariant import (
-    DEFAULT_BUDGET,
     MNCounts,
     base_dim_table,
     dim_invariant,

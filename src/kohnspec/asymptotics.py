@@ -10,18 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Callable, NamedTuple
 
-from .core import (
-    DimensionTooSmall,
-    LensSpace,
-    NonConvergence,
-    ResourceLimit,
-    UnsupportedDimension,
-)
-from .spectrum import counting_grid_size, lens_counting
-from .sphere import sphere_counting
+from .core import DimensionTooSmall, LensSpace, NonConvergence, UnsupportedDimension
+from .invariant import dim_invariant
+from .spectrum import lens_counting
+from .sphere import _fold, dim_hpq
 
 
 @dataclass(frozen=True)
@@ -82,25 +78,19 @@ def weyl_ratio_series(
 ) -> list[RatioSample]:
     """Exact N_L/N ratio samples at lam = stride, 2*stride, ..., lambda_max.
 
-    The optional budget caps the total number of (p, q) grid cells summed
-    across all samples; exceeding it raises ResourceLimit.
+    One walk over the (p, q) cells serves all samples.  The optional budget
+    caps its two dimension evaluations per cell; exceeding it raises
+    ResourceLimit before the walk starts.
     """
     if stride < 2 or stride % 2 != 0:
         raise ValueError("stride must be a positive even integer")
-    samples = []
-    spent = 0
-    for lam in range(stride, lambda_max + 1, stride):
-        if budget is not None:
-            spent += 2 * counting_grid_size(space.n, lam)
-            if spent > budget:
-                raise ResourceLimit(
-                    f"ratio series budget {budget} exhausted at lambda={lam}"
-                )
-        n_lens = lens_counting(space, lam)
-        n_sphere = sphere_counting(space.n, lam)
-        ratio = Fraction(n_lens, n_sphere) if n_sphere > 0 else None
-        samples.append(RatioSample(lam=lam, n_lens=n_lens, n_sphere=n_sphere, ratio=ratio))
-    return samples
+    lams = range(stride, lambda_max + 1, stride)
+    lens = partial(dim_invariant, space)
+    counts = _fold(space.n, lams, lens, partial(dim_hpq, space.n), budget=budget)
+    return [
+        RatioSample(lam, nl, ns, Fraction(nl, ns) if ns else None)
+        for lam, nl, ns in zip(lams, *counts)
+    ]
 
 
 def _weyl_integrand(n: int) -> Callable[[float], float]:
@@ -187,15 +177,18 @@ class WeylConstants(NamedTuple):
     predicted: float
 
 
+def _predicted_constant(space: LensSpace) -> float:
+    """The Weyl-law prediction u_n vol(S^{2n-1})/k for N_L(lam)/lam^n."""
+    return universal_constant(space.n) * sphere_volume(space.n) / space.k
+
+
 def weyl_constant_experiment(space: LensSpace, lambda_max: int) -> WeylConstants:
     """Compare N_L(lam)/lam^n at the cutoff with the predicted Weyl constant.
 
     The prediction is u_n vol(S^{2n-1})/k.  Reporting only; no verdict.
     """
-    n = space.n
-    empirical = lens_counting(space, lambda_max) / float(lambda_max) ** n
-    predicted = universal_constant(n) * sphere_volume(n) / space.k
-    return WeylConstants(empirical=empirical, predicted=predicted)
+    empirical = lens_counting(space, lambda_max) / float(lambda_max) ** space.n
+    return WeylConstants(empirical=empirical, predicted=_predicted_constant(space))
 
 
 def check_lower_bound(params: BoundParams) -> BoundCheck:
@@ -250,24 +243,19 @@ def lemma_ratio_decay(n: int, lambda_list: list[int]) -> list[Fraction]:
     """Exact A/B ratios whose decay to zero drives the 1/k limit.
 
     A sums C(p+n-2, n-2) C(q+n-2, n-2) over the counting index set at each
-    half-eigenvalue cutoff; B sums the full dimension terms.
+    half-eigenvalue cutoff; B sums the full dimension terms, so it is the
+    sphere count at twice the cutoff.
     """
     if n < 2:
         raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
-    out = []
-    for lam in lambda_list:
-        a_total = 0
-        b_total = 0
-        for p in range(lam - n + 2):
-            c_p = comb(p + n - 2, n - 2)
-            for q in range(1, lam // (p + n - 1) + 1):
-                a = c_p * comb(q + n - 2, n - 2)
-                b = a * (p + q + n - 1)
-                assert b % (n - 1) == 0
-                a_total += a
-                b_total += b // (n - 1)
-        out.append(Fraction(a_total, b_total) if b_total else Fraction(0))
-    return out
+
+    def binomials(p: int, q: int) -> int:
+        return comb(p + n - 2, n - 2) * comb(q + n - 2, n - 2)
+
+    cutoffs = sorted({2 * lam for lam in lambda_list})
+    sums = _fold(n, cutoffs, binomials, partial(dim_hpq, n))
+    ratio = {c: Fraction(a, b) if b else Fraction(0) for c, a, b in zip(cutoffs, *sums)}
+    return [ratio[2 * lam] for lam in lambda_list]
 
 
 @dataclass(frozen=True)
@@ -291,12 +279,13 @@ def remainder_experiment(
     if lambda_max < 2 * samples:
         raise ValueError("lambda_max must be at least 2*samples")
     n = space.n
-    predicted = weyl_constant_experiment(space, lambda_max).predicted
+    predicted = _predicted_constant(space)
     stride = 2 * (lambda_max // (2 * samples))
+    lams = range(stride, samples * stride + 1, stride)
+    (counts,) = _fold(n, lams, partial(dim_invariant, space))
     rows = []
-    for i in range(1, samples + 1):
-        lam = i * stride
-        residual = lens_counting(space, lam) - predicted * float(lam) ** n
+    for lam, count in zip(lams, counts):
+        residual = count - predicted * float(lam) ** n
         scale = float(lam) ** (n - 1)
         rows.append(
             RemainderSample(

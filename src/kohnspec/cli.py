@@ -18,15 +18,13 @@ import os
 import sys
 
 from . import asymptotics, genfunc, isospectral, spectrum
-from .core import KohnSpecError, LensSpace, parse_lens_spec
+from .core import DEFAULT_BUDGET, KohnSpecError, LensSpace, parse_lens_spec
 from .invariant import (
-    DEFAULT_BUDGET,
     dim_invariant,
     dim_invariant_bruteforce,
     dim_invariant_dp,
     dim_invariant_recurrence,
 )
-from .sphere import sphere_counting
 
 BUDGET_ENV = "KOHN_LENS_BUDGET"
 
@@ -46,6 +44,10 @@ def _resolve_budget(args) -> int:
         except ValueError as exc:
             raise KohnSpecError(f"{BUDGET_ENV} must be an integer, got {env!r}") from exc
     return DEFAULT_BUDGET
+
+
+def _is_prime(k: int) -> bool:
+    return k > 1 and all(k % f for f in range(2, math.isqrt(k) + 1))
 
 
 def _even(value: str) -> int:
@@ -162,13 +164,10 @@ def cmd_isospec(args) -> int:
 
 def cmd_classify(args) -> int:
     classes = isospectral.classify_all(args.k)
-    odd_prime = args.k > 2 and args.k % 2 == 1 and all(
-        args.k % f for f in range(3, math.isqrt(args.k) + 1, 2)
-    )
     _emit_json(
         {
             "k": args.k,
-            "spectral_equivalence_guaranteed": odd_prime,
+            "spectral_equivalence_guaranteed": args.k != 2 and _is_prime(args.k),
             "classes": [
                 {"representative": list(rep), "members": [list(m) for m in members]}
                 for rep, members in classes.items()
@@ -187,8 +186,7 @@ def cmd_span(args) -> int:
     rank = isospectral.span_dimension(args.k, range(2, args.lambda_max + 1, 2))
     print(rank)
     k = args.k
-    prime = k > 1 and all(k % f for f in range(2, math.isqrt(k) + 1))
-    if prime and rank < k * (k + 1) // 2:
+    if _is_prime(k) and rank < k * (k + 1) // 2:
         print(
             f"span rank {rank} below predicted {k * (k + 1) // 2} for prime k={k}",
             file=sys.stderr,

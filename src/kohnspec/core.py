@@ -29,6 +29,10 @@ class ResourceLimit(KohnSpecError):
     """An enumeration exceeded its configured budget."""
 
 
+# Cap on enumeration work: oracle candidate pairs, or (p, q) grid cells.
+DEFAULT_BUDGET = 10**7
+
+
 class InvalidEigenvalue(KohnSpecError):
     """Eigenvalues of the Kohn Laplacian are positive even integers."""
 

@@ -14,10 +14,7 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Iterator
 
-from .core import LensSpace, ResourceLimit, UnsupportedDimension
-
-# Cap on candidate (alpha, beta) pairs for the enumeration oracle.
-DEFAULT_BUDGET = 10**7
+from .core import DEFAULT_BUDGET, LensSpace, ResourceLimit, UnsupportedDimension
 
 
 def divides(k: int, a: int) -> int:

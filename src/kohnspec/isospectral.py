@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from math import isqrt
 
 from .core import (
     InvalidEigenvalue,
@@ -23,7 +22,7 @@ from .core import (
     gcd_invariant,
 )
 from .invariant import base_dim_table, dim_invariant_dp
-from .spectrum import multiplicity_table
+from .spectrum import _bidegrees_for, multiplicity_table
 
 
 @dataclass(frozen=True)
@@ -64,14 +63,11 @@ def condition4_witness(space: LensSpace, other: LensSpace) -> IsometryWitness | 
         raise MismatchedSpaces(
             f"cannot compare {space} with {other}: k and n must agree"
         )
-    k, n = space.k, space.n
-    for a in _units(k):
-        for sigma in permutations(range(1, n + 1)):
-            if all(
-                other.weights[i] == (a * space.weights[s - 1]) % k
-                for i, s in enumerate(sigma)
-            ):
-                return IsometryWitness(a=a, sigma=sigma)
+    for a in _units(space.k):
+        for sigma in permutations(range(1, space.n + 1)):
+            witness = IsometryWitness(a=a, sigma=sigma)
+            if verify_witness(space, other, witness):
+                return witness
     return None
 
 
@@ -148,12 +144,8 @@ def c_matrix(k: int, lam: int) -> CMatrix:
     if lam < 2 or lam % 2 != 0:
         raise InvalidEigenvalue(f"eigenvalues are positive even integers, got {lam}")
     entries = [[0] * k for _ in range(k)]
-    half = lam // 2
-    for i in range(1, isqrt(half) + 1):
-        if half % i == 0:
-            for q in {i, half // i}:
-                p = half // q - 1
-                entries[p % k][q % k] += 1
+    for p, q in _bidegrees_for(lam, 2):
+        entries[p % k][q % k] += 1
     return CMatrix(k=k, lam=lam, entries=tuple(tuple(row) for row in entries))
 
 

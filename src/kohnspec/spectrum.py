@@ -1,19 +1,23 @@
 """Exact eigenvalue -> multiplicity tables and the counting function.
 
 Eigenvalues are even integers 2q(p + n - 1); the multiplicity of lam sums
-the invariant dimensions over all (p, q) with that eigenvalue, found by
-enumerating divisors of lam/2.  k = 1 encodes the sphere.
+the invariant dimensions over all (p, q) with that eigenvalue.  Tables up
+to a cutoff are sieves: one walk over the (p, q) cells buckets each cell
+by its eigenvalue.  A single eigenvalue is answered by enumerating
+the divisors of lam/2.  k = 1 encodes the sphere.
 """
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 from math import isqrt
 
-from .core import InvalidEigenvalue, LensSpace, ResourceLimit
+from .core import DEFAULT_BUDGET, InvalidEigenvalue, LensSpace
 from .invariant import dim_invariant
-
-DEFAULT_GRID_BUDGET = 10**7
+from .sphere import _fold, _rows
 
 
 @dataclass(frozen=True)
@@ -73,69 +77,45 @@ def multiplicity(space: LensSpace, lam: int) -> int:
 
 
 def build_spectrum(
-    space: LensSpace, lambda_max: int, budget: int = DEFAULT_GRID_BUDGET
+    space: LensSpace, lambda_max: int, budget: int = DEFAULT_BUDGET
 ) -> SpectrumTable:
-    """Assemble the eigenvalue table for all even eigenvalues <= lambda_max."""
+    """Assemble the eigenvalue table for all even eigenvalues <= lambda_max.
+
+    More than `budget` (p, q) cells under lambda_max raise ResourceLimit.
+    """
     if lambda_max < 0:
         raise ValueError("lambda_max must be nonnegative")
-    entries: dict[int, SpectrumEntry] = {}
-    examined = 0
-    for lam in range(2, lambda_max + 1, 2):
-        pairs = _bidegrees_for(lam, space.n)
-        examined += len(pairs)
-        if examined > budget:
-            raise ResourceLimit(
-                f"(p, q) grid exceeded budget {budget} at eigenvalue {lam}"
-            )
-        contribs = tuple(
-            Contributor(p, q, d)
-            for p, q in pairs
-            if (d := dim_invariant(space, p, q)) > 0
-        )
-        if contribs:
-            entries[lam] = SpectrumEntry(
-                eigenvalue=lam,
-                multiplicity=sum(c.dim for c in contribs),
-                contributors=contribs,
-            )
+    buckets: defaultdict[int, list[Contributor]] = defaultdict(list)
+    for ps, (top,) in _rows(space.n, [lambda_max], budget):
+        for p, q in product(ps, range(1, top + 1)):
+            if d := dim_invariant(space, p, q):
+                buckets[2 * q * (p + space.n - 1)].append(Contributor(p, q, d))
+    entries = {
+        lam: SpectrumEntry(lam, sum(c.dim for c in contribs), tuple(contribs))
+        for lam, contribs in sorted(buckets.items())
+    }
     return SpectrumTable(space=space, lambda_max=lambda_max, entries=entries)
 
 
 def multiplicity_table(space: LensSpace, lambda_max: int) -> dict[int, int]:
     """Map of eigenvalue -> multiplicity (positive entries only)."""
-    out: dict[int, int] = {}
-    for lam in range(2, lambda_max + 1, 2):
-        m = multiplicity(space, lam)
-        if m:
-            out[lam] = m
-    return out
+    by_half = [0] * (lambda_max // 2 + 1)
+    for ps, (top,) in _rows(space.n, [lambda_max]):
+        for p, q in product(ps, range(1, top + 1)):
+            by_half[q * (p + space.n - 1)] += dim_invariant(space, p, q)
+    return {2 * half: m for half, m in enumerate(by_half) if m}
 
 
 def lens_counting(space: LensSpace, lam: int) -> int:
     """Number of positive eigenvalues <= lam on the lens space, with multiplicity."""
     if lam < 0:
         raise ValueError("eigenvalue cutoff must be nonnegative")
-    n = space.n
-    half = lam // 2
-    total = 0
-    p = 0
-    while p + n - 1 <= half:
-        q_max = half // (p + n - 1)
-        for q in range(1, q_max + 1):
-            total += dim_invariant(space, p, q)
-        p += 1
-    return total
+    return _fold(space.n, [lam], partial(dim_invariant, space))[0][0]
 
 
 def counting_grid_size(n: int, lam: int) -> int:
     """Number of (p, q) pairs the counting function sums over at cutoff lam."""
-    half = lam // 2
-    total = 0
-    p = 0
-    while p + n - 1 <= half:
-        total += half // (p + n - 1)
-        p += 1
-    return total
+    return sum(len(ps) * tops[-1] for ps, tops in _rows(n, [lam]))
 
 
 def spectrum_to_csv(table: SpectrumTable) -> str:
