@@ -37,7 +37,6 @@ from .invariant import (
 )
 from .spectrum import (
     Contributor,
-    SpectrumEntry,
     SpectrumTable,
     build_spectrum,
     lens_counting,

@@ -50,11 +50,30 @@ def _is_prime(k: int) -> bool:
     return k > 1 and all(k % f for f in range(2, math.isqrt(k) + 1))
 
 
+def _nonnegative(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"{number} is negative")
+    return number
+
+
+def _positive(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"{number} is not positive")
+    return number
+
+
 def _even(value: str) -> int:
     lam = int(value)
     if lam % 2 != 0:
         raise argparse.ArgumentTypeError(f"{lam} is odd; eigenvalue cutoffs are even")
     return lam
+
+
+def _cutoff(value: str) -> int:
+    _nonnegative(value)
+    return _even(value)
 
 
 def _lens(value: str) -> LensSpace:
@@ -65,7 +84,8 @@ def _lens(value: str) -> LensSpace:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    json.dump(obj, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def cmd_dim(args) -> int:
@@ -236,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("dim", cmd_dim, help="invariant eigenspace dimension at one bidegree")
     p.add_argument("--lens", type=_lens, required=True, metavar="k:l1,l2,...")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=_nonnegative, required=True)
+    p.add_argument("--q", type=_nonnegative, required=True)
     p.add_argument(
         "--method",
         choices=["auto", "dp", "recurrence", "bruteforce"],
@@ -247,18 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("spectrum", cmd_spectrum, help="eigenvalue -> multiplicity table")
     p.add_argument("--lens", type=_lens, required=True)
-    p.add_argument("--lambda-max", type=_even, required=True)
+    p.add_argument("--lambda-max", type=_cutoff, required=True)
     p.add_argument("--out", choices=["csv", "json"], default="csv")
     p.add_argument("--contributors", action="store_true")
     p.add_argument("--budget", type=int)
 
     p = add("count", cmd_count, help="eigenvalue counting function N_L")
     p.add_argument("--lens", type=_lens, required=True)
+    # A negative cutoff is left to lens_counting, which rejects it (exit 2).
     p.add_argument("--lambda-max", type=_even, required=True)
 
     p = add("weyl", cmd_weyl, help="exact lens/sphere count-ratio sweep")
     p.add_argument("--lens", type=_lens, required=True)
-    p.add_argument("--lambda-max", type=_even, required=True)
+    p.add_argument("--lambda-max", type=_cutoff, required=True)
     p.add_argument("--stride", type=_even, required=True)
     p.add_argument("--out", choices=["csv", "json"], default="csv")
     p.add_argument("--budget", type=int)
@@ -277,28 +298,28 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="given twice: the two spaces to compare",
     )
-    p.add_argument("--lambda-max", type=_even, default=500)
+    p.add_argument("--lambda-max", type=_cutoff, default=500)
 
     p = add("classify", cmd_classify, help="isometry classes of weight pairs")
     p.add_argument("--k", type=int, required=True)
 
     p = add("cmatrix", cmd_cmatrix, help="residue-count matrix of one eigenvalue")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=_even, required=True)
+    p.add_argument("--lambda", dest="lam", type=_cutoff, required=True)
 
     p = add("span", cmd_span, help="rank of the residue-count matrices")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--lambda-max", type=_even, required=True)
+    p.add_argument("--lambda-max", type=_cutoff, required=True)
 
     p = add("genfunc-check", cmd_genfunc_check, help="closed form vs series deviation")
     p.add_argument("--lens", type=_lens, required=True)
-    p.add_argument("--points", type=int, default=20)
-    p.add_argument("--cutoff", type=int, default=60)
+    p.add_argument("--points", type=_positive, default=20)
+    p.add_argument("--cutoff", type=_nonnegative, default=60)
     p.add_argument("--seed", type=int, default=12345)
 
     p = add("remainder", cmd_remainder, help="Weyl remainder-term table")
     p.add_argument("--lens", type=_lens, required=True)
-    p.add_argument("--lambda-max", type=_even, required=True)
+    p.add_argument("--lambda-max", type=_cutoff, required=True)
     p.add_argument("--samples", type=int, required=True)
 
     return parser

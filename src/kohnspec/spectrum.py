@@ -1,15 +1,15 @@
 """Exact eigenvalue -> multiplicity tables and the counting function.
 
 Eigenvalues are even integers 2q(p + n - 1); the multiplicity of lam sums
-the invariant dimensions over all (p, q) with that eigenvalue.  Tables up
-to a cutoff are sieves: one walk over the (p, q) cells buckets each cell
-by its eigenvalue.  A single eigenvalue is answered by enumerating
-the divisors of lam/2.  k = 1 encodes the sphere.
+the invariant dimensions over all (p, q) with that eigenvalue.  A table up
+to a cutoff is one sieve of multiplicities: a walk over the (p, q) cells
+adds each cell's dimension to its eigenvalue.  A single eigenvalue, and
+its per-(p, q) provenance, is answered by enumerating the divisors of
+lam/2.  k = 1 encodes the sphere.
 """
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -29,30 +29,26 @@ class Contributor:
     dim: int
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    eigenvalue: int
-    multiplicity: int
-    contributors: tuple[Contributor, ...]
-
-
 @dataclass
 class SpectrumTable:
-    """Sorted map eigenvalue -> multiplicity with per-(p, q) provenance.
+    """Sorted map eigenvalue -> multiplicity of the eigenvalues <= lambda_max.
 
-    Only eigenvalues with positive multiplicity appear; contributors with
-    zero invariant dimension are dropped.
+    Only eigenvalues with positive multiplicity appear.
     """
 
     space: LensSpace
     lambda_max: int
-    entries: dict[int, SpectrumEntry]
+    by_eigenvalue: dict[int, int]
 
     def multiplicities(self) -> dict[int, int]:
-        return {lam: e.multiplicity for lam, e in self.entries.items()}
+        return dict(self.by_eigenvalue)
 
     def total_count(self) -> int:
-        return sum(e.multiplicity for e in self.entries.values())
+        return sum(self.by_eigenvalue.values())
+
+    def contributors(self, lam: int) -> list[Contributor]:
+        """The bidegrees of positive dimension that make up lam, by p."""
+        return list(_contributors(self.space, lam))
 
 
 def _bidegrees_for(lam: int, n: int) -> list[tuple[int, int]]:
@@ -69,11 +65,27 @@ def _bidegrees_for(lam: int, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def multiplicity(space: LensSpace, lam: int) -> int:
-    """Exact multiplicity of the eigenvalue lam on the lens space."""
+def _contributors(space: LensSpace, lam: int):
+    """Yield the bidegrees of the eigenvalue lam with positive dimension."""
     if lam <= 0 or lam % 2 != 0:
         raise InvalidEigenvalue(f"eigenvalues are positive even integers, got {lam}")
-    return sum(dim_invariant(space, p, q) for p, q in _bidegrees_for(lam, space.n))
+    for p, q in _bidegrees_for(lam, space.n):
+        if d := dim_invariant(space, p, q):
+            yield Contributor(p, q, d)
+
+
+def multiplicity(space: LensSpace, lam: int) -> int:
+    """Exact multiplicity of the eigenvalue lam on the lens space."""
+    return sum(c.dim for c in _contributors(space, lam))
+
+
+def _sieve(space: LensSpace, lambda_max: int, budget: int | None) -> dict[int, int]:
+    """Eigenvalue -> multiplicity (positive entries only), in one cell walk."""
+    by_half = [0] * (lambda_max // 2 + 1)
+    for ps, (top,) in _rows(space.n, [lambda_max], budget):
+        for p, q in product(ps, range(1, top + 1)):
+            by_half[q * (p + space.n - 1)] += dim_invariant(space, p, q)
+    return {2 * half: m for half, m in enumerate(by_half) if m}
 
 
 def build_spectrum(
@@ -85,25 +97,12 @@ def build_spectrum(
     """
     if lambda_max < 0:
         raise ValueError("lambda_max must be nonnegative")
-    buckets: defaultdict[int, list[Contributor]] = defaultdict(list)
-    for ps, (top,) in _rows(space.n, [lambda_max], budget):
-        for p, q in product(ps, range(1, top + 1)):
-            if d := dim_invariant(space, p, q):
-                buckets[2 * q * (p + space.n - 1)].append(Contributor(p, q, d))
-    entries = {
-        lam: SpectrumEntry(lam, sum(c.dim for c in contribs), tuple(contribs))
-        for lam, contribs in sorted(buckets.items())
-    }
-    return SpectrumTable(space=space, lambda_max=lambda_max, entries=entries)
+    return SpectrumTable(space, lambda_max, _sieve(space, lambda_max, budget))
 
 
 def multiplicity_table(space: LensSpace, lambda_max: int) -> dict[int, int]:
     """Map of eigenvalue -> multiplicity (positive entries only)."""
-    by_half = [0] * (lambda_max // 2 + 1)
-    for ps, (top,) in _rows(space.n, [lambda_max]):
-        for p, q in product(ps, range(1, top + 1)):
-            by_half[q * (p + space.n - 1)] += dim_invariant(space, p, q)
-    return {2 * half: m for half, m in enumerate(by_half) if m}
+    return _sieve(space, lambda_max, None)
 
 
 def lens_counting(space: LensSpace, lam: int) -> int:
@@ -121,19 +120,19 @@ def counting_grid_size(n: int, lam: int) -> int:
 def spectrum_to_csv(table: SpectrumTable) -> str:
     """Two-column CSV `lambda,multiplicity`, one row per eigenvalue."""
     lines = ["lambda,multiplicity"]
-    for lam, entry in table.entries.items():
-        lines.append(f"{lam},{entry.multiplicity}")
+    for lam, m in table.by_eigenvalue.items():
+        lines.append(f"{lam},{m}")
     return "\n".join(lines) + "\n"
 
 
 def spectrum_to_json_obj(table: SpectrumTable, contributors: bool = False):
     """JSON-serializable view of the table, optionally with provenance."""
     rows = []
-    for lam, entry in table.entries.items():
-        row = {"lambda": lam, "multiplicity": entry.multiplicity}
+    for lam, m in table.by_eigenvalue.items():
+        row = {"lambda": lam, "multiplicity": m}
         if contributors:
             row["contributors"] = [
-                {"p": c.p, "q": c.q, "dim": c.dim} for c in entry.contributors
+                {"p": c.p, "q": c.q, "dim": c.dim} for c in table.contributors(lam)
             ]
         rows.append(row)
     return {

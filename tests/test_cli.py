@@ -193,9 +193,21 @@ def test_validation_error_exit_code(capsys):
 
 
 def test_odd_lambda_rejected():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["spectrum", "--lens", "3:1,2", "--lambda-max", "7"])
-    assert excinfo.value.code == 2
+    # Odd or negative cutoffs, negative bidegrees and an empty point set
+    # are refused by the parser.
+    for argv in (
+        ["spectrum", "--lens", "3:1,2", "--lambda-max", "7"],
+        ["dim", "--lens", "3:1,2", "--p", "-1", "--q", "1"],
+        ["dim", "--lens", "3:1,2", "--p", "1", "--q", "-1"],
+        ["isospec", "--lens", "5:1,2", "--lens", "5:1,3", "--lambda-max", "-4"],
+        ["weyl", "--lens", "3:1,2", "--lambda-max", "-4", "--stride", "2"],
+        ["span", "--k", "3", "--lambda-max", "-4"],
+        ["genfunc-check", "--lens", "3:1,2", "--points", "0"],
+        ["genfunc-check", "--lens", "3:1,2", "--cutoff", "-1"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2, argv
 
 
 def test_budget_env_override(capsys, monkeypatch):

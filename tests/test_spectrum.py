@@ -22,18 +22,18 @@ SPHERE3 = make_lens_space(2, 1, [1, 1])
 def test_sphere_table_small():
     table = build_spectrum(SPHERE3, 4)
     assert table.multiplicities() == {2: 2, 4: 6}
-    assert [(c.p, c.q) for c in table.entries[4].contributors] == [(0, 2), (1, 1)]
+    assert [(c.p, c.q) for c in table.contributors(4)] == [(0, 2), (1, 1)]
 
 
 def test_empty_table_at_zero():
-    assert build_spectrum(make_lens_space(2, 3, [1, 2]), 0).entries == {}
+    assert build_spectrum(make_lens_space(2, 3, [1, 2]), 0).multiplicities() == {}
 
 
 def test_lens_table_cross_checked_against_enumeration():
     space = make_lens_space(2, 3, [1, 2])
     table = build_spectrum(space, 40)
-    for entry in table.entries.values():
-        for c in entry.contributors:
+    for lam in table.multiplicities():
+        for c in table.contributors(lam):
             assert c.dim == dim_invariant_bruteforce(space, c.p, c.q) > 0
     assert table.total_count() == lens_counting(space, 40)
 
@@ -71,8 +71,8 @@ def test_lens_count_dominated_by_sphere_count():
 def test_trivial_group_reproduces_sphere_table():
     sphere5 = make_lens_space(3, 1, [1, 1, 1])
     table = build_spectrum(sphere5, 60)
-    for lam, entry in table.entries.items():
-        assert entry.multiplicity == sum(
+    for lam, mult in table.multiplicities().items():
+        assert mult == sum(
             dim_hpq(3, p, q)
             for p in range(lam)
             for q in range(1, lam + 1)
@@ -92,11 +92,7 @@ def test_divisor_enumeration_complete():
                 for q in range(1, lam + 1)
                 if 2 * q * (p + n - 1) == lam
             }
-            got = (
-                {(c.p, c.q) for c in table.entries[lam].contributors}
-                if lam in table.entries
-                else set()
-            )
+            got = {(c.p, c.q) for c in table.contributors(lam)}
             assert got <= expected
             missing = {
                 pq

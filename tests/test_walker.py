@@ -73,7 +73,11 @@ def test_sieve_tables_match_divisor_enumeration(space, lam):
         m: mult for m in range(2, lam + 1, 2) if (mult := multiplicity(space, m))
     }
     assert multiplicity_table(space, lam) == by_divisors
-    assert build_spectrum(space, lam).multiplicities() == by_divisors
+    table = build_spectrum(space, lam)
+    assert table.multiplicities() == by_divisors
+    for m in range(2, lam + 1, 2):
+        dims = [c.dim for c in table.contributors(m)]
+        assert all(d > 0 for d in dims) and sum(dims) == by_divisors.get(m, 0)
 
 
 @settings(max_examples=40, deadline=None)
