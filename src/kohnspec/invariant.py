@@ -2,10 +2,12 @@
 
 dim H^G_(p,q) equals the number of pairs (alpha, beta) of exponent tuples
 with |alpha| = p, |beta| = q, alpha_1 = 0 or beta_1 = 0, and
-sum l_j (alpha_j - beta_j) = 0 mod k.  Three routes to that count live
+sum l_j (alpha_j - beta_j) = 0 mod k.  As P_(p,q) = H_(p,q) + |z|^2 P_(p-1,q-1)
+with |z|^2 invariant, that is also N(p, q) - N(p-1, q-1), N counting all
+invariant monomials z^alpha zbar^beta.  Three routes to the count live
 here: a literal enumeration (the oracle), a residue-class convolution
-(the production path), and the n = 2 shift recurrence that reduces any
-bidegree to a k x k base table.
+for N (the production path), and the n = 2 shift recurrence that reduces
+any bidegree to a k x k base table.
 """
 from __future__ import annotations
 
@@ -41,6 +43,8 @@ def dim_invariant_bruteforce(
     C(p+n-1, n-1) * C(q+n-1, n-1) candidate pairs; raises ResourceLimit
     if that product exceeds the budget.
     """
+    if p < 0 or q < 0:
+        raise ValueError("bidegree components must be nonnegative")
     n, k, weights = space.n, space.k, space.weights
     n_alpha = comb(p + n - 1, n - 1)
     n_beta = comb(q + n - 1, n - 1)
@@ -84,12 +88,12 @@ def _profile_rows(weights: tuple[int, ...], k: int, cap: int) -> tuple[tuple[int
     return tuple(tuple(row) for row in rows)
 
 
-def _profile(weights: tuple[int, ...], k: int, degree: int) -> tuple[int, ...]:
-    """Residue histogram of exponent tuples of the given total degree."""
+def _profile_table(weights: tuple[int, ...], k: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The cached profile rows for the weight list, covering rows 0..degree."""
     cap = 16
     while cap < degree:
         cap *= 2
-    return _profile_rows(weights, k, cap)[degree]
+    return _profile_rows(weights, k, cap)
 
 
 def exponent_profile(space: LensSpace, degree: int) -> tuple[int, ...]:
@@ -98,7 +102,7 @@ def exponent_profile(space: LensSpace, degree: int) -> tuple[int, ...]:
     Entry r is #{alpha >= 0, |alpha| = degree, sum l_i alpha_i = r mod k};
     the entries sum to C(degree + n - 1, n - 1).
     """
-    return _profile(space.weights, space.k, degree)
+    return _profile_table(space.weights, space.k, degree)[degree]
 
 
 def _correlate_zero(a: tuple[int, ...], b: tuple[int, ...], k: int) -> int:
@@ -107,24 +111,23 @@ def _correlate_zero(a: tuple[int, ...], b: tuple[int, ...], k: int) -> int:
 
 
 def dim_invariant_dp(space: LensSpace, p: int, q: int) -> int:
-    """Invariant dimension via residue-class convolution.
+    """Invariant dimension N(p, q) - N(p-1, q-1) by residue-class convolution.
 
-    Builds degree profiles for alpha (weights as given) and beta (weights
-    negated), each with and without the first coordinate, and combines
-    them by inclusion-exclusion over alpha_1 = 0 / beta_1 = 0.  Agrees
-    with dim_invariant_bruteforce everywhere.
+    N(p, q) correlates row p of the profile table of the weights with row q
+    of the table of the negated weights; the second term is absent when
+    p = 0 or q = 0.  Multiplying by z_1 zbar_1 maps the (p-1, q-1) pairs
+    one-to-one, residue kept, onto the pairs with alpha_1, beta_1 >= 1, so
+    this is the alpha_1 = 0 or beta_1 = 0 count of the oracle.
     """
+    if p < 0 or q < 0:
+        raise ValueError("bidegree components must be nonnegative")
     k, weights = space.k, space.weights
-    negated = tuple(-w % k for w in weights)
-    a_full = _profile(weights, k, p)
-    a_zero = _profile(weights[1:], k, p)
-    b_full = _profile(negated, k, q)
-    b_zero = _profile(negated[1:], k, q)
-    return (
-        _correlate_zero(a_zero, b_full, k)
-        + _correlate_zero(a_full, b_zero, k)
-        - _correlate_zero(a_zero, b_zero, k)
-    )
+    alpha = _profile_table(weights, k, p)
+    beta = _profile_table(tuple(-w % k for w in weights), k, q)
+    count = _correlate_zero(alpha[p], beta[q], k)
+    if p and q:
+        count -= _correlate_zero(alpha[p - 1], beta[q - 1], k)
+    return count
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,8 @@ def mn_counts(space: LensSpace, p: int, q: int) -> MNCounts:
     """Count the two congruence branches separately (n = 2 only)."""
     if space.n != 2:
         raise UnsupportedDimension(f"mn_counts needs n = 2, got n={space.n}")
+    if p < 0 or q < 0:
+        raise ValueError("bidegree components must be nonnegative")
     k = space.k
     l1, l2 = space.weights
     m_pq = sum(1 for b1 in range(q + 1) if (l2 * (p - q + b1) - l1 * b1) % k == 0)
@@ -176,6 +181,8 @@ def dim_invariant_recurrence(space: LensSpace, p: int, q: int) -> int:
     """
     if space.n != 2:
         raise UnsupportedDimension(f"recurrence needs n = 2, got n={space.n}")
+    if p < 0 or q < 0:
+        raise ValueError("bidegree components must be nonnegative")
     k = space.k
     d = gcd(k, space.weights[0] - space.weights[1])
     if (p - q) % d != 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from .core import (
     InvalidEigenvalue,
@@ -201,31 +201,22 @@ def span_dimension(k: int, lambdas) -> int:
     return _integer_rank(c_matrix(k, lam).as_vector() for lam in lambdas)
 
 
-def _canonical_pair(pair: tuple[int, int], k: int, units: list[int]) -> tuple[int, int]:
-    """Lexicographically least orbit element with first weight normalized to 1."""
-    best = None
-    for a in units:
-        for x, y in ((pair[0], pair[1]), (pair[1], pair[0])):
-            candidate = ((a * x) % k, (a * y) % k)
-            if candidate[0] == 1 and (best is None or candidate < best):
-                best = candidate
-    assert best is not None
-    return best
-
-
 def classify_all(k: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
     """Partition all valid n = 2 weight pairs into isometry classes.
 
-    Keys are canonical representatives (first weight 1, least second
-    weight over the orbit); values list the class members in ascending
-    order.  Classes are returned by ascending representative.
+    Each class is the orbit {(a x, a y), (a y, a x) mod k : a a unit} of
+    any member.  Keys are canonical representatives (first weight 1, least
+    second weight over the orbit); values list the class members in
+    ascending order.  Classes are returned by ascending representative.
     """
     if k < 2:
         raise InvalidOrder(f"classification needs k >= 2, got {k}")
     units = _units(k)
+    unclassified = set(product(units, repeat=2))
     classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for l1 in units:
-        for l2 in units:
-            rep = _canonical_pair((l1, l2), k, units)
-            classes.setdefault(rep, []).append((l1, l2))
-    return {rep: sorted(classes[rep]) for rep in sorted(classes)}
+    while unclassified:
+        x, y = unclassified.pop()
+        orbit = {((a * u) % k, (a * v) % k) for a in units for u, v in ((x, y), (y, x))}
+        unclassified -= orbit
+        classes[min(pair for pair in orbit if pair[0] == 1)] = sorted(orbit)
+    return dict(sorted(classes.items()))

@@ -83,9 +83,24 @@ def test_dp_matches_bruteforce_small_grid():
 
 
 @settings(max_examples=60, deadline=None)
-@given(lens_strategy(), st.integers(0, 10), st.integers(0, 10))
+@given(lens_strategy(n_values=(2, 3, 4)), st.integers(0, 10), st.integers(0, 10))
 def test_dp_matches_bruteforce_property(space, p, q):
     assert dim_invariant_dp(space, p, q) == dim_invariant_bruteforce(space, p, q)
+
+
+def test_negative_bidegree_rejected_by_every_route():
+    space = make_lens_space(2, 3, [1, 2])
+    routes = (
+        dim_invariant,
+        dim_invariant_dp,
+        dim_invariant_recurrence,
+        dim_invariant_bruteforce,
+        mn_counts,
+    )
+    for route in routes:
+        for p, q in ((-1, 1), (1, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                route(space, p, q)
 
 
 def test_mn_counts_example():

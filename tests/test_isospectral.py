@@ -210,7 +210,10 @@ def test_classify_matches_orbit_enumeration():
                 for x, y in (pair, pair[::-1])
             )
             orbits.add(orbit)
-        assert len(classify_all(k)) == len(orbits)
+        classes = classify_all(k)
+        assert {frozenset(members) for members in classes.values()} == orbits
+        assert len(classes) == len(orbits)
+        assert all(rep in members for rep, members in classes.items())
 
 
 def test_classify_representatives_mutually_distinct_spectra():
