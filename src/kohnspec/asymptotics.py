@@ -15,7 +15,7 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from .core import DimensionTooSmall, LensSpace, NonConvergence, UnsupportedDimension
-from .invariant import dim_invariant
+from .invariant import dim_cell
 from .spectrum import lens_counting
 from .sphere import _fold, dim_hpq
 
@@ -85,8 +85,9 @@ def weyl_ratio_series(
     if stride < 2 or stride % 2 != 0:
         raise ValueError("stride must be a positive even integer")
     lams = range(stride, lambda_max + 1, stride)
-    lens = partial(dim_invariant, space)
-    counts = _fold(space.n, lams, lens, partial(dim_hpq, space.n), budget=budget)
+    counts = _fold(
+        space.n, lams, dim_cell(space), partial(dim_hpq, space.n), budget=budget
+    )
     return [
         RatioSample(lam, nl, ns, Fraction(nl, ns) if ns else None)
         for lam, nl, ns in zip(lams, *counts)
@@ -267,12 +268,14 @@ class RemainderSample:
 
 
 def remainder_experiment(
-    space: LensSpace, lambda_max: int, samples: int
+    space: LensSpace, lambda_max: int, samples: int, budget: int | None = None
 ) -> list[RemainderSample]:
     """Tabulate N_L(lam) - predicted*lam^n at evenly spaced cutoffs.
 
     Normalized columns let the conjectured lam^(n-1) log lam remainder
-    growth be eyeballed; nothing is asserted.
+    growth be eyeballed; nothing is asserted.  One walk serves all
+    samples; the optional budget caps its cells, and exceeding it raises
+    ResourceLimit before the walk starts.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -282,7 +285,7 @@ def remainder_experiment(
     predicted = _predicted_constant(space)
     stride = 2 * (lambda_max // (2 * samples))
     lams = range(stride, samples * stride + 1, stride)
-    (counts,) = _fold(n, lams, partial(dim_invariant, space))
+    (counts,) = _fold(n, lams, dim_cell(space), budget=budget)
     rows = []
     for lam, count in zip(lams, counts):
         residual = count - predicted * float(lam) ** n

@@ -111,7 +111,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_count(args) -> int:
-    print(spectrum.lens_counting(args.lens, args.lambda_max))
+    print(spectrum.lens_counting(args.lens, args.lambda_max, _resolve_budget(args)))
     return 0
 
 
@@ -233,7 +233,9 @@ def cmd_genfunc_check(args) -> int:
 
 
 def cmd_remainder(args) -> int:
-    rows = asymptotics.remainder_experiment(args.lens, args.lambda_max, args.samples)
+    rows = asymptotics.remainder_experiment(
+        args.lens, args.lambda_max, args.samples, budget=_resolve_budget(args)
+    )
     print("lambda,residual,residual_per_lambda_nm1,residual_per_lambda_nm1_log")
     for row in rows:
         print(
@@ -276,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lens", type=_lens, required=True)
     # A negative cutoff is left to lens_counting, which rejects it (exit 2).
     p.add_argument("--lambda-max", type=_even, required=True)
+    p.add_argument("--budget", type=int)
 
     p = add("weyl", cmd_weyl, help="exact lens/sphere count-ratio sweep")
     p.add_argument("--lens", type=_lens, required=True)
@@ -321,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lens", type=_lens, required=True)
     p.add_argument("--lambda-max", type=_cutoff, required=True)
     p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--budget", type=int)
 
     return parser
 

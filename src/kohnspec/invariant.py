@@ -12,11 +12,17 @@ any bidegree to a k x k base table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, gcd
-from typing import Iterator
+from functools import lru_cache, partial
+from math import comb
+from typing import Callable, Iterator
 
-from .core import DEFAULT_BUDGET, LensSpace, ResourceLimit, UnsupportedDimension
+from .core import (
+    DEFAULT_BUDGET,
+    LensSpace,
+    ResourceLimit,
+    UnsupportedDimension,
+    gcd_invariant,
+)
 
 
 def divides(k: int, a: int) -> int:
@@ -88,12 +94,21 @@ def _profile_rows(weights: tuple[int, ...], k: int, cap: int) -> tuple[tuple[int
     return tuple(tuple(row) for row in rows)
 
 
-def _profile_table(weights: tuple[int, ...], k: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """The cached profile rows for the weight list, covering rows 0..degree."""
+def _table_cap(degree: int) -> int:
+    """The last row of the cached table that covers rows 0..degree: 2^j >= 16."""
     cap = 16
     while cap < degree:
         cap *= 2
-    return _profile_rows(weights, k, cap)
+    return cap
+
+
+def _profile_table(weights: tuple[int, ...], k: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The cached profile rows for the weight list, covering rows 0..degree.
+
+    With one zero weight appended, row t is the cumulative profile: the
+    sum of the rows 0..t of the weights' own table (a slack coordinate).
+    """
+    return _profile_rows(weights, k, _table_cap(degree))
 
 
 def exponent_profile(space: LensSpace, degree: int) -> tuple[int, ...]:
@@ -183,12 +198,26 @@ def dim_invariant_recurrence(space: LensSpace, p: int, q: int) -> int:
         raise UnsupportedDimension(f"recurrence needs n = 2, got n={space.n}")
     if p < 0 or q < 0:
         raise ValueError("bidegree components must be nonnegative")
-    k = space.k
-    d = gcd(k, space.weights[0] - space.weights[1])
-    if (p - q) % d != 0:
-        return 0
-    base = base_dim_table(space)
-    return base[p % k][q % k] + d * (p // k + q // k)
+    return dim_cell(space)(p, q)
+
+
+def dim_cell(space: LensSpace) -> Callable[[int, int], int]:
+    """dim_invariant(space, p, q) as a function of p, q >= 0 alone.
+
+    For n = 2 the base table, k and d = gcd(k, l_1 - l_2) are bound once,
+    so a walk over many cells pays for them once; higher n binds the
+    space to the convolution.  Bidegrees are not sign-checked.
+    """
+    if space.n != 2:
+        return partial(dim_invariant_dp, space)
+    k, d, base = space.k, gcd_invariant(space), base_dim_table(space)
+
+    def cell(p: int, q: int) -> int:
+        if (p - q) % d:
+            return 0
+        return base[p % k][q % k] + d * (p // k + q // k)
+
+    return cell
 
 
 def dim_invariant(space: LensSpace, p: int, q: int) -> int:

@@ -6,18 +6,31 @@ to a cutoff is one sieve of multiplicities: a walk over the (p, q) cells
 adds each cell's dimension to its eigenvalue.  A single eigenvalue, and
 its per-(p, q) provenance, is answered by enumerating the divisors of
 lam/2.  k = 1 encodes the sphere.
+
+The count N_L(lam) visits no cell.  The cells q(p + n - 1) <= lam/2 lie
+under a hyperbola, which the Dirichlet split cuts into O(sqrt(lam))
+rows and columns, and each line is summed in closed form: for n = 2 from
+prefix sums of the k x k base table, for n >= 3 as one correlation of a
+profile row with a cumulative profile row, through the difference
+N(p, q) - N(p-1, q-1).
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
-from itertools import product
+from itertools import accumulate, product
 from math import isqrt
 
-from .core import DEFAULT_BUDGET, InvalidEigenvalue, LensSpace
-from .invariant import dim_invariant
-from .sphere import _fold, _rows
+from .core import DEFAULT_BUDGET, InvalidEigenvalue, LensSpace, ResourceLimit, gcd_invariant
+from .invariant import (
+    _correlate_zero,
+    _profile_table,
+    _table_cap,
+    base_dim_table,
+    dim_cell,
+    dim_invariant,
+)
+from .sphere import _rows
 
 
 @dataclass(frozen=True)
@@ -82,9 +95,10 @@ def multiplicity(space: LensSpace, lam: int) -> int:
 def _sieve(space: LensSpace, lambda_max: int, budget: int | None) -> dict[int, int]:
     """Eigenvalue -> multiplicity (positive entries only), in one cell walk."""
     by_half = [0] * (lambda_max // 2 + 1)
+    cell = dim_cell(space)
     for ps, (top,) in _rows(space.n, [lambda_max], budget):
         for p, q in product(ps, range(1, top + 1)):
-            by_half[q * (p + space.n - 1)] += dim_invariant(space, p, q)
+            by_half[q * (p + space.n - 1)] += cell(p, q)
     return {2 * half: m for half, m in enumerate(by_half) if m}
 
 
@@ -105,11 +119,105 @@ def multiplicity_table(space: LensSpace, lambda_max: int) -> dict[int, int]:
     return _sieve(space, lambda_max, None)
 
 
-def lens_counting(space: LensSpace, lam: int) -> int:
-    """Number of positive eigenvalues <= lam on the lens space, with multiplicity."""
+def lens_counting(
+    space: LensSpace, lam: int, budget: int | None = DEFAULT_BUDGET
+) -> int:
+    """Number of positive eigenvalues <= lam on the lens space, with multiplicity.
+
+    Sums over the hyperbola split of the cells (`_hyperbola`), one closed
+    form per line.  The work is charged before any is done: for n = 2 the
+    k x k prefix sums plus the line sums, for n >= 3 the entries of the
+    two cumulative profile tables.  Over budget raises ResourceLimit.
+    """
     if lam < 0:
         raise ValueError("eigenvalue cutoff must be nonnegative")
-    return _fold(space.n, [lam], partial(dim_invariant, space))[0][0]
+    count = _count_recurrence if space.n == 2 else _count_convolution
+    return count(space, lam // 2, budget)
+
+
+def _charge(work: int, budget: int | None) -> None:
+    if budget is not None and work > budget:
+        raise ResourceLimit(f"counting work {work} exceeds budget {budget}")
+
+
+def _hyperbola(half: int, low: int):
+    """Cut the cells u >= 1, v >= low, u v <= half into lines.
+
+    Returns (s, rows, columns) with s = isqrt(half).  Row (u, top), u <= s,
+    holds the cells v = low..top; column (v, top), low <= v <= s, holds
+    u = s+1..top.  Every cell lies on exactly one line: past u = s,
+    v <= half/(s+1) < s+1.
+    """
+    s = isqrt(half)
+    rows = [(u, half // u) for u in range(1, s + 1) if half // u >= low]
+    return s, rows, [(v, half // v) for v in range(low, s + 1)]
+
+
+def _count_recurrence(space: LensSpace, half: int, budget: int | None) -> int:
+    """N_L for n = 2: each line of dim(p, q), q(p + 1) <= half, in O(1).
+
+    dim = [d | p - q] (base[p mod k][q mod k] + d (floor(p/k) + floor(q/k)));
+    base vanishes off d | p - q, and d | k, so a line's sum over x < c k + e
+    takes the base row's prefix sums at k and e and the number of
+    admissible residues, k/d per full block and `part` in the last one.
+    """
+    k, d = space.k, gcd_invariant(space)
+    s, rows, columns = _hyperbola(half, 1)
+    _charge(k * k + len(rows) + 2 * len(columns), budget)
+    base = base_dim_table(space)
+    fixed_p = [list(accumulate(row, initial=0)) for row in base]
+    fixed_q = [list(accumulate(col, initial=0)) for col in zip(*base)]
+
+    def line(prefix, a: int, length: int) -> int:
+        """Sum of dim over the first `length` cells of the line with index a."""
+        r = a % k
+        c, e = divmod(length, k)
+        full, part = k // d, (e - r % d + d - 1) // d
+        return (
+            c * prefix[r][k]
+            + prefix[r][e]
+            + d * ((a // k) * (c * full + part) + full * c * (c - 1) // 2 + c * part)
+        )
+
+    total = sum(line(fixed_q, q, top) for q, top in rows)
+    for v, top in columns:
+        total += line(fixed_p, v - 1, top + 1) - line(fixed_p, v - 1, s + 1)
+    return total
+
+
+def _count_convolution(space: LensSpace, half: int, budget: int | None) -> int:
+    """N_L for n >= 3 as the sum of N over the cells minus the (-1, -1) shift.
+
+    dim(p, q) = N(p, q) - N(p-1, q-1) with N = 0 off p, q >= 0.  Over a
+    row, N sums to a correlation of a cumulative profile row of the
+    weights with a plain row of the negated weights; over a column, the
+    other way round.  Plain rows are differences of cumulative rows.
+    """
+    n, k = space.n, space.k
+    negated = tuple(-w % k for w in space.weights)
+    degrees = (half - n + 1, half // (n - 1))
+    _charge(sum(k * (_table_cap(t) + 1) for t in degrees), budget)
+    cum_a = _profile_table(space.weights + (0,), k, degrees[0])
+    cum_b = _profile_table(negated + (0,), k, degrees[1])
+
+    def plain(cum, t: int):
+        return cum[0] if t == 0 else [x - y for x, y in zip(cum[t], cum[t - 1])]
+
+    def region(low: int, shift: int) -> int:
+        """Sum of N(v - low, u - shift) over u >= 1, v >= low, u v <= half."""
+        s, rows, columns = _hyperbola(half, low)
+        total = sum(
+            _correlate_zero(cum_a[top - low], plain(cum_b, u - shift), k)
+            for u, top in rows
+        )
+        for v, top in columns:
+            a = plain(cum_a, v - low)
+            total += _correlate_zero(a, cum_b[top - shift], k)
+            total -= _correlate_zero(a, cum_b[s - shift], k)
+        return total
+
+    # (p, q) = (v - n + 1, u) and (p - 1, q - 1) = (v - n, u - 1).
+    return region(n - 1, 0) - region(n, 1)
 
 
 def counting_grid_size(n: int, lam: int) -> int:

@@ -125,6 +125,11 @@ def test_weyl_ratio_budget():
         weyl_ratio_series(make_lens_space(2, 3, [1, 2]), 2000, 2, budget=100)
 
 
+def test_remainder_budget():
+    with pytest.raises(ResourceLimit):
+        remainder_experiment(make_lens_space(2, 3, [1, 2]), 2000, 4, budget=100)
+
+
 def test_weyl_ratio_stride_validation():
     with pytest.raises(ValueError):
         weyl_ratio_series(SPHERE3, 100, 3)

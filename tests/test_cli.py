@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import math
+import time
 
 import pytest
 
@@ -237,6 +239,37 @@ def test_budget_flag_beats_env(capsys, monkeypatch):
     )
     assert code == 0
     assert out.strip().isdigit()
+
+
+def test_count_budget_refuses_before_any_table(capsys):
+    from kohnspec.invariant import _profile_rows, clear_caches
+
+    clear_caches()
+    code, out, err = run(capsys, "count", "--lens", "9:8,5,1", "--lambda-max", "20000000")
+    assert code == 2 and out == ""
+    assert "budget" in err
+    assert _profile_rows.cache_info().currsize == 0
+
+
+def test_count_reaches_large_cutoffs(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "count", "--lens", "19:13,2", "--lambda-max", "20000000")
+    assert code == 0
+    assert time.perf_counter() - start < 1.0
+    # N_L(lam) ~ u_2 vol(S^3) / k * lam^2 = (1/48)(2 pi^2)/19 lam^2, with a
+    # remainder of order lam log lam.
+    predicted = 2 * math.pi**2 / (48 * 19) * 20000000**2
+    assert abs(int(out) - predicted) / predicted < 1e-3
+
+
+def test_remainder_budget_flag(capsys):
+    argv = ["remainder", "--lens", "3:1,2", "--lambda-max", "2000", "--samples", "4"]
+    code, _, err = run(capsys, *argv, "--budget", "100")
+    assert code == 2
+    assert "budget" in err
+    code, out, _ = run(capsys, *argv, "--budget", "100000")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 5
 
 
 def test_isospec_needs_two_spaces():

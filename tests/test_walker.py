@@ -2,7 +2,8 @@
 
 The walker serves every sum over the cells q >= 1, 2q(p + n - 1) <= lam.
 Its results are compared with divisor enumeration (`multiplicity`) and
-with literal scans of the (p, q) rectangle.
+with literal scans of the (p, q) rectangle.  The walker in turn is the
+oracle for the closed-form count `lens_counting`.
 """
 from fractions import Fraction
 from functools import partial
@@ -13,26 +14,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kohnspec import asymptotics, spectrum
-from kohnspec.asymptotics import lemma_ratio_decay, weyl_ratio_series
+from kohnspec.asymptotics import lemma_ratio_decay, remainder_experiment, weyl_ratio_series
 from kohnspec.core import ResourceLimit, make_lens_space
 from kohnspec.invariant import dim_invariant
 from kohnspec.isospectral import c_matrix
 from kohnspec.spectrum import (
     build_spectrum,
     counting_grid_size,
+    lens_counting,
     multiplicity,
     multiplicity_table,
 )
-from kohnspec.sphere import _fold, dim_hpq
+from kohnspec.sphere import _fold, dim_hpq, sphere_counting
 
 
 @st.composite
-def lens_spaces(draw):
-    n = draw(st.sampled_from([2, 3]))
-    k = draw(st.integers(1, 12))
+def lens_spaces(draw, n_values=(2, 3), k_max=12):
+    n = draw(st.sampled_from(n_values))
+    k = draw(st.integers(1, k_max))
     units = [u for u in range(1, k + 1) if gcd(u, k) == 1]
     weights = draw(st.lists(st.sampled_from(units), min_size=n, max_size=n))
     return make_lens_space(n, k, weights)
+
+
+def walked_count(space, lam):
+    return _fold(space.n, [lam], partial(dim_invariant, space))[0][0]
 
 
 even_cutoffs = st.lists(st.integers(0, 150).map(lambda h: 2 * h), min_size=1, max_size=6)
@@ -110,11 +116,38 @@ def test_budget_charges_each_evaluation_before_the_walk(monkeypatch):
     cells = counting_grid_size(2, 400)
     build_spectrum(space, 400, budget=cells)
     weyl_ratio_series(space, 400, 40, budget=2 * cells)
+    remainder_experiment(space, 400, 10, budget=cells)
     calls = []
     for module in (spectrum, asymptotics):
-        monkeypatch.setattr(module, "dim_invariant", lambda *args: calls.append(args))
+        monkeypatch.setattr(
+            module, "dim_cell", lambda space: lambda *args: calls.append(args)
+        )
     with pytest.raises(ResourceLimit):
         build_spectrum(space, 400, budget=cells - 1)
     with pytest.raises(ResourceLimit):
         weyl_ratio_series(space, 400, 40, budget=2 * cells - 1)
+    with pytest.raises(ResourceLimit):
+        remainder_experiment(space, 400, 10, budget=cells - 1)
     assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(lens_spaces(n_values=(2, 3, 4), k_max=13), st.integers(0, 3000))
+def test_closed_form_count_matches_the_walker(space, lam):
+    assert lens_counting(space, lam) == walked_count(space, lam)
+
+
+@pytest.mark.parametrize(
+    "n, k, weights, lam",
+    [(2, 13, (1, 5), 20002), (2, 12, (1, 7), 19998), (3, 11, (1, 3, 7), 2000)],
+)
+def test_closed_form_count_matches_the_walker_at_larger_cutoffs(n, k, weights, lam):
+    space = make_lens_space(n, k, weights)
+    assert lens_counting(space, lam) == walked_count(space, lam)
+
+
+def test_closed_form_count_of_the_trivial_group_is_the_sphere_count():
+    for n in (2, 3, 4):
+        sphere = make_lens_space(n, 1, [1] * n)
+        for lam in (0, 2, 2 * n - 2, 2 * n, 501, 1200):
+            assert lens_counting(sphere, lam) == sphere_counting(n, lam), (n, lam)
