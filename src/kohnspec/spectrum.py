@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from itertools import accumulate, product
 from math import isqrt
 
-from .core import DEFAULT_BUDGET, InvalidEigenvalue, LensSpace, ResourceLimit, gcd_invariant
+from .core import (
+    DEFAULT_BUDGET,
+    InvalidEigenvalue,
+    LensSpace,
+    ResourceLimit,
+    gcd_invariant,
+)
 from .invariant import (
     _correlate_zero,
     _profile_table,

@@ -245,7 +245,9 @@ def test_count_budget_refuses_before_any_table(capsys):
     from kohnspec.invariant import _profile_rows, clear_caches
 
     clear_caches()
-    code, out, err = run(capsys, "count", "--lens", "9:8,5,1", "--lambda-max", "20000000")
+    code, out, err = run(
+        capsys, "count", "--lens", "9:8,5,1", "--lambda-max", "20000000"
+    )
     assert code == 2 and out == ""
     assert "budget" in err
     assert _profile_rows.cache_info().currsize == 0

@@ -14,7 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kohnspec import asymptotics, spectrum
-from kohnspec.asymptotics import lemma_ratio_decay, remainder_experiment, weyl_ratio_series
+from kohnspec.asymptotics import (
+    lemma_ratio_decay,
+    remainder_experiment,
+    weyl_ratio_series,
+)
 from kohnspec.core import ResourceLimit, make_lens_space
 from kohnspec.invariant import dim_invariant
 from kohnspec.isospectral import c_matrix
