@@ -4,20 +4,21 @@ The counting function of a lens space grows like 1/k times the sphere's;
 this module samples that ratio exactly, evaluates the universal Weyl
 constant by quadrature, validates the floor/ceiling bound inequalities in
 exact rational arithmetic, and tabulates the remainder-term experiment.
+The sphere's counts are those of the trivial group L(1; 1, ..., 1).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import comb
 from typing import Callable, NamedTuple
 
-from .core import DimensionTooSmall, LensSpace, NonConvergence, UnsupportedDimension
-from .invariant import dim_cell
-from .spectrum import lens_counting
-from .sphere import _fold, dim_hpq
+from .core import (
+    DimensionTooSmall, LensSpace, NonConvergence, UnsupportedDimension, make_lens_space
+)
+from .spectrum import _counts, lens_counting
+from .sphere import _fold
 
 
 @dataclass(frozen=True)
@@ -78,16 +79,14 @@ def weyl_ratio_series(
 ) -> list[RatioSample]:
     """Exact N_L/N ratio samples at lam = stride, 2*stride, ..., lambda_max.
 
-    One walk over the (p, q) cells serves all samples.  The optional budget
-    caps its two dimension evaluations per cell; exceeding it raises
-    ResourceLimit before the walk starts.
+    The optional budget caps the work of both series' counts together;
+    exceeding it raises ResourceLimit before any is done.
     """
     if stride < 2 or stride % 2 != 0:
         raise ValueError("stride must be a positive even integer")
     lams = range(stride, lambda_max + 1, stride)
-    counts = _fold(
-        space.n, lams, dim_cell(space), partial(dim_hpq, space.n), budget=budget
-    )
+    sphere = make_lens_space(space.n, 1, [1] * space.n)
+    counts = _counts([space, sphere], lams, budget)
     return [
         RatioSample(lam, nl, ns, Fraction(nl, ns) if ns else None)
         for lam, nl, ns in zip(lams, *counts)
@@ -188,6 +187,8 @@ def weyl_constant_experiment(space: LensSpace, lambda_max: int) -> WeylConstants
 
     The prediction is u_n vol(S^{2n-1})/k.  Reporting only; no verdict.
     """
+    if lambda_max <= 0:
+        raise ValueError("lambda_max must be positive")
     empirical = lens_counting(space, lambda_max) / float(lambda_max) ** space.n
     return WeylConstants(empirical=empirical, predicted=_predicted_constant(space))
 
@@ -253,10 +254,12 @@ def lemma_ratio_decay(n: int, lambda_list: list[int]) -> list[Fraction]:
     def binomials(p: int, q: int) -> int:
         return comb(p + n - 2, n - 2) * comb(q + n - 2, n - 2)
 
-    cutoffs = sorted({2 * lam for lam in lambda_list})
-    sums = _fold(n, cutoffs, binomials, partial(dim_hpq, n))
-    ratio = {c: Fraction(a, b) if b else Fraction(0) for c, a, b in zip(cutoffs, *sums)}
-    return [ratio[2 * lam] for lam in lambda_list]
+    sphere = make_lens_space(n, 1, [1] * n)
+    # Below the first eigenvalue A = B = 0; the ratio is taken as 0.
+    return [
+        Fraction(_fold(n, 2 * h, binomials), lens_counting(sphere, 2 * h, None) or 1)
+        for h in lambda_list
+    ]
 
 
 @dataclass(frozen=True)
@@ -273,9 +276,8 @@ def remainder_experiment(
     """Tabulate N_L(lam) - predicted*lam^n at evenly spaced cutoffs.
 
     Normalized columns let the conjectured lam^(n-1) log lam remainder
-    growth be eyeballed; nothing is asserted.  One walk serves all
-    samples; the optional budget caps its cells, and exceeding it raises
-    ResourceLimit before the walk starts.
+    growth be eyeballed; nothing is asserted.  The optional budget caps the
+    counts' work; exceeding it raises ResourceLimit before any is done.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -285,7 +287,7 @@ def remainder_experiment(
     predicted = _predicted_constant(space)
     stride = 2 * (lambda_max // (2 * samples))
     lams = range(stride, samples * stride + 1, stride)
-    (counts,) = _fold(n, lams, dim_cell(space), budget=budget)
+    (counts,) = _counts([space], lams, budget)
     rows = []
     for lam, count in zip(lams, counts):
         residual = count - predicted * float(lam) ** n

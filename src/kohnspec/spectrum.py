@@ -7,12 +7,12 @@ adds each cell's dimension to its eigenvalue.  A single eigenvalue, and
 its per-(p, q) provenance, is answered by enumerating the divisors of
 lam/2.  k = 1 encodes the sphere.
 
-The count N_L(lam) visits no cell.  The cells q(p + n - 1) <= lam/2 lie
-under a hyperbola, which the Dirichlet split cuts into O(sqrt(lam))
-rows and columns, and each line is summed in closed form: for n = 2 from
-prefix sums of the k x k base table, for n >= 3 as one correlation of a
-profile row with a cumulative profile row, through the difference
-N(p, q) - N(p-1, q-1).
+Every count N_L(lam) comes from `_counts`, at any list of cutoffs, and
+visits no cell.  The cells q(p + n - 1) <= lam/2 lie under a hyperbola,
+which the Dirichlet split cuts into O(sqrt(lam)) rows and columns, and
+each line is summed in closed form: for n = 2 from prefix sums of the
+k x k base table, for n >= 3 as one correlation of a profile row with a
+cumulative profile row, through the difference N(p, q) - N(p-1, q-1).
 """
 from __future__ import annotations
 
@@ -102,7 +102,7 @@ def _sieve(space: LensSpace, lambda_max: int, budget: int | None) -> dict[int, i
     """Eigenvalue -> multiplicity (positive entries only), in one cell walk."""
     by_half = [0] * (lambda_max // 2 + 1)
     cell = dim_cell(space)
-    for ps, (top,) in _rows(space.n, [lambda_max], budget):
+    for ps, top in _rows(space.n, lambda_max, budget):
         for p, q in product(ps, range(1, top + 1)):
             by_half[q * (p + space.n - 1)] += cell(p, q)
     return {2 * half: m for half, m in enumerate(by_half) if m}
@@ -130,36 +130,60 @@ def lens_counting(
 ) -> int:
     """Number of positive eigenvalues <= lam on the lens space, with multiplicity.
 
-    Sums over the hyperbola split of the cells (`_hyperbola`), one closed
-    form per line.  The work is charged before any is done: for n = 2 the
-    k x k prefix sums plus the line sums, for n >= 3 the entries of the
-    two cumulative profile tables.  Over budget raises ResourceLimit.
+    The one-cutoff case of `_counts`.  Over budget raises ResourceLimit.
     """
-    if lam < 0:
+    return _counts([space], [lam], budget)[0][0]
+
+
+def _counts(spaces, lams, budget: int | None) -> list[list[int]]:
+    """N_L at each cutoff in `lams`, one list per space.
+
+    Each space's tables are built once.  All the work (`_work`) is charged
+    first; over budget raises ResourceLimit before any table is built.
+    """
+    if any(lam < 0 for lam in lams):
         raise ValueError("eigenvalue cutoff must be nonnegative")
-    count = _count_recurrence if space.n == 2 else _count_convolution
-    return count(space, lam // 2, budget)
-
-
-def _charge(work: int, budget: int | None) -> None:
+    halves = [lam // 2 for lam in lams]
+    work = sum(_work(space, halves) for space in spaces)
     if budget is not None and work > budget:
         raise ResourceLimit(f"counting work {work} exceeds budget {budget}")
+    return [
+        (_count_recurrence if space.n == 2 else _count_convolution)(space, halves)
+        for space in spaces
+    ]
+
+
+def _work(space: LensSpace, halves: list[int]) -> int:
+    """The charge of counting the space at every half-cutoff in `halves`.
+
+    A region of `_hyperbola` has at most isqrt(half) rows and as many
+    columns of two lines.  n = 2: k^3 for the base table's k^2 convolutions,
+    even when cached, k^2 prefix sums, one per line.  n >= 3, two regions:
+    (n + 1) k per cumulative profile row (`_profile_rows` makes n + 1
+    passes) and k per line, a correlation.
+    """
+    n, k, largest = space.n, space.k, max(halves, default=0)
+    lines = sum(3 * isqrt(half) for half in halves)
+    if n == 2:
+        return k**3 + k * k + lines
+    rows = _table_cap(largest - n + 1) + _table_cap(largest // (n - 1)) + 2
+    return (n + 1) * k * rows + 2 * k * lines
 
 
 def _hyperbola(half: int, low: int):
     """Cut the cells u >= 1, v >= low, u v <= half into lines.
 
-    Returns (s, rows, columns) with s = isqrt(half).  Row (u, top), u <= s,
-    holds the cells v = low..top; column (v, top), low <= v <= s, holds
-    u = s+1..top.  Every cell lies on exactly one line: past u = s,
-    v <= half/(s+1) < s+1.
+    Returns s = isqrt(half) and one-pass iterators of the rows and the
+    columns.  Row (u, top), u <= s, holds the cells v = low..top; column
+    (v, top), low <= v <= s, holds u = s+1..top.  Every cell lies on
+    exactly one line: past u = s, v <= half/(s+1) < s+1.
     """
     s = isqrt(half)
-    rows = [(u, half // u) for u in range(1, s + 1) if half // u >= low]
-    return s, rows, [(v, half // v) for v in range(low, s + 1)]
+    rows = ((u, half // u) for u in range(1, s + 1) if half // u >= low)
+    return s, rows, ((v, half // v) for v in range(low, s + 1))
 
 
-def _count_recurrence(space: LensSpace, half: int, budget: int | None) -> int:
+def _count_recurrence(space: LensSpace, halves: list[int]) -> list[int]:
     """N_L for n = 2: each line of dim(p, q), q(p + 1) <= half, in O(1).
 
     dim = [d | p - q] (base[p mod k][q mod k] + d (floor(p/k) + floor(q/k)));
@@ -168,8 +192,6 @@ def _count_recurrence(space: LensSpace, half: int, budget: int | None) -> int:
     admissible residues, k/d per full block and `part` in the last one.
     """
     k, d = space.k, gcd_invariant(space)
-    s, rows, columns = _hyperbola(half, 1)
-    _charge(k * k + len(rows) + 2 * len(columns), budget)
     base = base_dim_table(space)
     fixed_p = [list(accumulate(row, initial=0)) for row in base]
     fixed_q = [list(accumulate(col, initial=0)) for col in zip(*base)]
@@ -185,13 +207,17 @@ def _count_recurrence(space: LensSpace, half: int, budget: int | None) -> int:
             + d * ((a // k) * (c * full + part) + full * c * (c - 1) // 2 + c * part)
         )
 
-    total = sum(line(fixed_q, q, top) for q, top in rows)
-    for v, top in columns:
-        total += line(fixed_p, v - 1, top + 1) - line(fixed_p, v - 1, s + 1)
-    return total
+    def count(half: int) -> int:
+        s, rows, columns = _hyperbola(half, 1)
+        total = sum(line(fixed_q, q, top) for q, top in rows)
+        for v, top in columns:
+            total += line(fixed_p, v - 1, top + 1) - line(fixed_p, v - 1, s + 1)
+        return total
+
+    return [count(half) for half in halves]
 
 
-def _count_convolution(space: LensSpace, half: int, budget: int | None) -> int:
+def _count_convolution(space: LensSpace, halves: list[int]) -> list[int]:
     """N_L for n >= 3 as the sum of N over the cells minus the (-1, -1) shift.
 
     dim(p, q) = N(p, q) - N(p-1, q-1) with N = 0 off p, q >= 0.  Over a
@@ -199,17 +225,15 @@ def _count_convolution(space: LensSpace, half: int, budget: int | None) -> int:
     weights with a plain row of the negated weights; over a column, the
     other way round.  Plain rows are differences of cumulative rows.
     """
-    n, k = space.n, space.k
+    n, k, largest = space.n, space.k, max(halves, default=0)
     negated = tuple(-w % k for w in space.weights)
-    degrees = (half - n + 1, half // (n - 1))
-    _charge(sum(k * (_table_cap(t) + 1) for t in degrees), budget)
-    cum_a = _profile_table(space.weights + (0,), k, degrees[0])
-    cum_b = _profile_table(negated + (0,), k, degrees[1])
+    cum_a = _profile_table(space.weights + (0,), k, largest - n + 1)
+    cum_b = _profile_table(negated + (0,), k, largest // (n - 1))
 
     def plain(cum, t: int):
         return cum[0] if t == 0 else [x - y for x, y in zip(cum[t], cum[t - 1])]
 
-    def region(low: int, shift: int) -> int:
+    def region(half: int, low: int, shift: int) -> int:
         """Sum of N(v - low, u - shift) over u >= 1, v >= low, u v <= half."""
         s, rows, columns = _hyperbola(half, low)
         total = sum(
@@ -223,12 +247,12 @@ def _count_convolution(space: LensSpace, half: int, budget: int | None) -> int:
         return total
 
     # (p, q) = (v - n + 1, u) and (p - 1, q - 1) = (v - n, u - 1).
-    return region(n - 1, 0) - region(n, 1)
+    return [region(half, n - 1, 0) - region(half, n, 1) for half in halves]
 
 
 def counting_grid_size(n: int, lam: int) -> int:
     """Number of (p, q) pairs the counting function sums over at cutoff lam."""
-    return sum(len(ps) * tops[-1] for ps, tops in _rows(n, [lam]))
+    return sum(len(ps) * top for ps, top in _rows(n, lam))
 
 
 def spectrum_to_csv(table: SpectrumTable) -> str:

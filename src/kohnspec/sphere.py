@@ -1,13 +1,14 @@
 """Eigenspace dimensions and eigenvalue counting for the sphere S^(2n-1).
 
 The eigenspaces of the Kohn Laplacian on the sphere are the bigraded
-harmonic spaces indexed by (p, q); the eigenvalue attached to (p, q) is
-2q(p + n - 1), and the kernel (q = 0) is excluded from all counting.
+harmonic spaces indexed by (p, q), of eigenvalue 2q(p + n - 1); the
+kernel (q = 0) is excluded from all counting.  The cell walker `_rows`
+serves tables, lemma sums and the `sphere_counting` oracle.
 """
 from __future__ import annotations
 
 from functools import partial
-from itertools import accumulate, product, starmap
+from itertools import product, starmap
 from math import comb
 
 from .core import DimensionTooSmall, ResourceLimit
@@ -39,44 +40,31 @@ def eigenvalue(n: int, p: int, q: int) -> int:
     return 2 * q * (p + n - 1)
 
 
-def _rows(n: int, cutoffs, budget: int | None = None, cost: int = 1):
-    """Runs of rows of the cells q >= 1, 2q(p + n - 1) <= cutoff.
+def _rows(n: int, lam: int, budget: int | None = None):
+    """Runs of rows of the cells q >= 1, 2q(p + n - 1) <= lam.
 
-    `cutoffs` is sorted ascending.  Yields (ps, tops): ps is a range of
-    rows p whose cells under cutoffs[j] are q = 1..tops[j].  Tops change
-    only O(sqrt(cutoff)) times, so runs are few.  Raises ResourceLimit,
-    before the walk, if cost per cell under the last cutoff tops the budget.
+    Yields (ps, top): ps is a range of rows p whose cells are q = 1..top.
+    The top changes only O(sqrt(lam)) times, so runs are few.  Raises
+    ResourceLimit, before the walk, if the cells outnumber the budget.
     """
     if budget is not None:
-        cells = sum(len(ps) * tops[-1] for ps, tops in _rows(n, cutoffs[-1:]))
-        if cost * cells > budget:
-            raise ResourceLimit(
-                f"{cost * cells} grid cell evaluations exceed budget {budget}"
-            )
-    halves = [lam // 2 for lam in cutoffs]
+        cells = sum(len(ps) * top for ps, top in _rows(n, lam))
+        if cells > budget:
+            raise ResourceLimit(f"{cells} grid cell evaluations exceed budget {budget}")
+    half = lam // 2
     width = n - 1  # p + n - 1 of the run's first row
-    while halves and width <= halves[-1]:
-        tops = [half // width for half in halves]
-        last = min(half // top for half, top in zip(halves, tops) if top > 0)
-        yield range(width - n + 1, last - n + 2), tops
+    while width <= half:
+        top = half // width
+        last = half // top
+        yield range(width - n + 1, last - n + 2), top
         width = last + 1
 
 
-def _fold(n: int, cutoffs, *cells, budget: int | None = None) -> list[list[int]]:
-    """Sum each cell(p, q) over the cells under every cutoff, in one walk.
-
-    Returns one list per cell function, aligned with `cutoffs`; the budget
-    is charged once per cell and cell function.
-    """
-    segments = [[0] * len(cutoffs) for _ in cells]
-    for ps, tops in _rows(n, cutoffs, budget, len(cells)):
-        low = 1  # each cell is added to the first cutoff that reaches it
-        for i, top in enumerate(tops):
-            if top >= low:
-                for cell, segment in zip(cells, segments):
-                    segment[i] += sum(starmap(cell, product(ps, range(low, top + 1))))
-                low = top + 1
-    return [list(accumulate(segment)) for segment in segments]
+def _fold(n: int, lam: int, cell) -> int:
+    """Sum of cell(p, q) over the cells under the cutoff lam."""
+    return sum(
+        sum(starmap(cell, product(ps, range(1, top + 1)))) for ps, top in _rows(n, lam)
+    )
 
 
 def sphere_counting(n: int, lam: int) -> int:
@@ -89,4 +77,4 @@ def sphere_counting(n: int, lam: int) -> int:
         raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
     if lam < 0:
         raise ValueError("eigenvalue cutoff must be nonnegative")
-    return _fold(n, [lam], partial(dim_hpq, n))[0][0]
+    return _fold(n, lam, partial(dim_hpq, n))

@@ -141,6 +141,12 @@ def test_weyl_constant_experiment_sphere():
     assert abs(empirical - predicted) / predicted < 0.01
 
 
+def test_weyl_constant_experiment_needs_a_positive_cutoff():
+    for lam in (0, -2):
+        with pytest.raises(ValueError):
+            weyl_constant_experiment(SPHERE3, lam)
+
+
 def test_weyl_constant_experiment_below_first_eigenvalue():
     empirical, predicted = weyl_constant_experiment(make_lens_space(2, 5, [1, 2]), 2)
     assert empirical == 0.0

@@ -253,6 +253,17 @@ def test_count_budget_refuses_before_any_table(capsys):
     assert _profile_rows.cache_info().currsize == 0
 
 
+def test_count_charges_the_base_table_fill_before_it(capsys, monkeypatch):
+    from kohnspec import spectrum
+
+    calls = []
+    monkeypatch.setattr(spectrum, "base_dim_table", lambda *args: calls.append(args))
+    code, out, err = run(capsys, "count", "--lens", "223:1,2", "--lambda-max", "4")
+    assert code == 2 and out == ""
+    assert "budget" in err
+    assert calls == []
+
+
 def test_count_reaches_large_cutoffs(capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, "count", "--lens", "19:13,2", "--lambda-max", "20000000")
@@ -266,6 +277,16 @@ def test_count_reaches_large_cutoffs(capsys):
 
 def test_remainder_budget_flag(capsys):
     argv = ["remainder", "--lens", "3:1,2", "--lambda-max", "2000", "--samples", "4"]
+    code, _, err = run(capsys, *argv, "--budget", "100")
+    assert code == 2
+    assert "budget" in err
+    code, out, _ = run(capsys, *argv, "--budget", "100000")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 5
+
+
+def test_weyl_budget_flag(capsys):
+    argv = ["weyl", "--lens", "3:1,2", "--lambda-max", "2000", "--stride", "500"]
     code, _, err = run(capsys, *argv, "--budget", "100")
     assert code == 2
     assert "budget" in err

@@ -1,14 +1,15 @@
-"""Property tests of the (p, q) cell walker against independent routes.
+"""Property tests of the (p, q) cell walker and the closed-form counts.
 
-The walker serves every sum over the cells q >= 1, 2q(p + n - 1) <= lam.
-Its results are compared with divisor enumeration (`multiplicity`) and
-with literal scans of the (p, q) rectangle.  The walker in turn is the
-oracle for the closed-form count `lens_counting`.
+The walker sums over the cells q >= 1, 2q(p + n - 1) <= lam under one
+cutoff.  Its results are compared with divisor enumeration
+(`multiplicity`) and with literal scans of the (p, q) rectangle.  The
+walker in turn is the oracle for the closed-form counts of
+`spectrum._counts`, which serve `count`, `weyl` and `remainder`.
 """
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,10 +20,11 @@ from kohnspec.asymptotics import (
     remainder_experiment,
     weyl_ratio_series,
 )
-from kohnspec.core import ResourceLimit, make_lens_space
+from kohnspec.core import DEFAULT_BUDGET, ResourceLimit, make_lens_space
 from kohnspec.invariant import dim_invariant
 from kohnspec.isospectral import c_matrix
 from kohnspec.spectrum import (
+    _counts,
     build_spectrum,
     counting_grid_size,
     lens_counting,
@@ -42,7 +44,11 @@ def lens_spaces(draw, n_values=(2, 3), k_max=12):
 
 
 def walked_count(space, lam):
-    return _fold(space.n, [lam], partial(dim_invariant, space))[0][0]
+    return _fold(space.n, lam, partial(dim_invariant, space))
+
+
+def trivial_group(n):
+    return make_lens_space(n, 1, [1] * n)
 
 
 even_cutoffs = st.lists(st.integers(0, 150).map(lambda h: 2 * h), min_size=1, max_size=6)
@@ -60,20 +66,33 @@ def cells(n, lam):
 
 
 @settings(max_examples=40, deadline=None)
-@given(lens_spaces(), even_cutoffs)
+@given(
+    lens_spaces(n_values=(2, 3, 4)),
+    st.lists(st.integers(0, 300), min_size=1, max_size=6).map(sorted),
+)
 def test_multi_cutoff_counts_are_cumulative_multiplicities(space, cutoffs):
-    cutoffs = sorted(cutoffs)
-    sphere = make_lens_space(space.n, 1, [1] * space.n)
-    lens_counts, sphere_counts = _fold(
-        space.n, cutoffs, partial(dim_invariant, space), partial(dim_hpq, space.n)
-    )
-    evens = range(2, cutoffs[-1] + 1, 2)
-    lens_prefix = dict(zip(evens, accumulate(multiplicity(space, lam) for lam in evens)))
-    sphere_prefix = dict(
-        zip(evens, accumulate(multiplicity(sphere, lam) for lam in evens))
-    )
-    assert lens_counts == [lens_prefix.get(lam, 0) for lam in cutoffs]
-    assert sphere_counts == [sphere_prefix.get(lam, 0) for lam in cutoffs]
+    sphere = trivial_group(space.n)
+    lens_counts, sphere_counts = _counts([space, sphere], cutoffs, None)
+    for group, counts in ((space, lens_counts), (sphere, sphere_counts)):
+        prefix = list(accumulate(multiplicity(group, 2 * h) for h in range(1, 151)))
+        assert counts == [prefix[lam // 2 - 1] if lam >= 2 else 0 for lam in cutoffs]
+        assert counts == [walked_count(group, lam) for lam in cutoffs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(lens_spaces(n_values=(2, 3, 4)), st.integers(1, 8), st.integers(1, 12))
+def test_sweeps_match_the_walker(space, half_stride, samples):
+    stride = 2 * half_stride
+    lambda_max = stride * samples
+    series = weyl_ratio_series(space, lambda_max, stride)
+    assert [s.lam for s in series] == list(range(stride, lambda_max + 1, stride))
+    for s in series:
+        assert s.n_lens == walked_count(space, s.lam)
+        assert s.n_sphere == sphere_counting(space.n, s.lam)
+    predicted = asymptotics._predicted_constant(space)
+    for row in remainder_experiment(space, lambda_max, samples):
+        expected = walked_count(space, row.lam) - predicted * float(row.lam) ** space.n
+        assert row.residual == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,20 +138,43 @@ def test_budget_charges_each_evaluation_before_the_walk(monkeypatch):
     space = make_lens_space(2, 3, [1, 2])
     cells = counting_grid_size(2, 400)
     build_spectrum(space, 400, budget=cells)
-    weyl_ratio_series(space, 400, 40, budget=2 * cells)
-    remainder_experiment(space, 400, 10, budget=cells)
     calls = []
-    for module in (spectrum, asymptotics):
-        monkeypatch.setattr(
-            module, "dim_cell", lambda space: lambda *args: calls.append(args)
-        )
+    monkeypatch.setattr(
+        spectrum, "dim_cell", lambda space: lambda *args: calls.append(args)
+    )
     with pytest.raises(ResourceLimit):
         build_spectrum(space, 400, budget=cells - 1)
-    with pytest.raises(ResourceLimit):
-        weyl_ratio_series(space, 400, 40, budget=2 * cells - 1)
-    with pytest.raises(ResourceLimit):
-        remainder_experiment(space, 400, 10, budget=cells - 1)
     assert calls == []
+    # n = 2 setup: k^3 for the base table's convolutions, k^2 prefix sums;
+    # k = 1 for the sphere.  Each cutoff: isqrt(lam/2) rows, as many
+    # columns, two line evaluations per column.
+    lines = sum(3 * isqrt(lam // 2) for lam in range(40, 401, 40))
+    remainder = 27 + 9 + lines
+    weyl = remainder + 1 + 1 + lines
+    weyl_ratio_series(space, 400, 40, budget=weyl)
+    remainder_experiment(space, 400, 10, budget=remainder)
+    for name in ("base_dim_table", "_profile_table"):
+        monkeypatch.setattr(spectrum, name, lambda *args: calls.append(args))
+    with pytest.raises(ResourceLimit):
+        weyl_ratio_series(space, 400, 40, budget=weyl - 1)
+    with pytest.raises(ResourceLimit):
+        remainder_experiment(space, 400, 10, budget=remainder - 1)
+    assert calls == []
+
+
+def test_count_charges_each_pass_over_the_profile_tables():
+    # (n + 1) k (cap + 1) per cumulative table, caps 2^20 and 2^19, plus
+    # k per correlation: two regions of 3 isqrt(lam/2) line evaluations.
+    charge = 4 * 2 * (2**20 + 1 + 2**19 + 1) + 2 * 2 * 3 * 1000
+    with pytest.raises(ResourceLimit, match=f"work {charge} exceeds"):
+        lens_counting(make_lens_space(3, 2, [1, 1, 1]), 2_000_000)
+
+
+def test_dense_sweep_charges_its_setup_once():
+    series = weyl_ratio_series(
+        make_lens_space(2, 31, [1, 3]), 2000, 2, budget=DEFAULT_BUDGET
+    )
+    assert len(series) == 1000
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,7 +193,7 @@ def test_closed_form_count_matches_the_walker_at_larger_cutoffs(n, k, weights, l
 
 
 def test_closed_form_count_of_the_trivial_group_is_the_sphere_count():
-    for n in (2, 3, 4):
-        sphere = make_lens_space(n, 1, [1] * n)
+    for n in (2, 3, 4, 5, 6):
+        sphere = trivial_group(n)
         for lam in (0, 2, 2 * n - 2, 2 * n, 501, 1200):
             assert lens_counting(sphere, lam) == sphere_counting(n, lam), (n, lam)
