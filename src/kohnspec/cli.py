@@ -12,6 +12,7 @@ prime modulus).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -89,15 +90,15 @@ def _emit_json(obj) -> None:
 
 
 def cmd_dim(args) -> int:
-    method = {
-        "auto": dim_invariant,
-        "dp": dim_invariant_dp,
-        "recurrence": dim_invariant_recurrence,
-    }.get(args.method)
+    method = {"auto": dim_invariant, "dp": dim_invariant_dp}.get(args.method)
     if method is not None:
         print(method(args.lens, args.p, args.q))
     else:
-        print(dim_invariant_bruteforce(args.lens, args.p, args.q, _resolve_budget(args)))
+        charged = {
+            "recurrence": dim_invariant_recurrence,
+            "bruteforce": dim_invariant_bruteforce,
+        }[args.method]
+        print(charged(args.lens, args.p, args.q, _resolve_budget(args)))
     return 0
 
 
@@ -244,7 +245,9 @@ def cmd_remainder(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state."""
     parser = argparse.ArgumentParser(
         prog="kohnspec",
         description="Exact Kohn Laplacian spectra on odd spheres and lens spaces.",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,11 +54,24 @@ def genfunc_closed(space: LensSpace, z: complex, w: complex) -> complex:
     return total / k
 
 
+@lru_cache(maxsize=16)
+def _series_grid(
+    space: LensSpace, p_max: int, q_max: int
+) -> tuple[tuple[int, ...], ...]:
+    """dim H^G_(p,q) for p <= p_max, q <= q_max, from the residue convolution."""
+    return tuple(
+        tuple(dim_invariant_dp(space, p, q) for q in range(q_max + 1))
+        for p in range(p_max + 1)
+    )
+
+
 def genfunc_series(
     space: LensSpace, z: complex, w: complex, p_max: int, q_max: int
 ) -> complex:
     """Truncated power series sum of dim H^G_(p,q) z^p w^q.
 
+    The integer grid of dimensions is built once per (space, p_max,
+    q_max) and kept for the next sample points (a small bounded cache).
     Inside |z|, |w| <= 0.9 the dropped tail is geometric: the dimensions
     grow polynomially while |z|^p |w|^q decays, so cutoffs around 60 put
     the truncation error far below double-precision comparisons at
@@ -66,11 +80,11 @@ def genfunc_series(
     _check_point(z, w)
     total = 0j
     zp = 1 + 0j
-    for p in range(p_max + 1):
+    for dims in _series_grid(space, p_max, q_max):
         row = 0j
         wq = 1 + 0j
-        for q in range(q_max + 1):
-            row += dim_invariant_dp(space, p, q) * wq
+        for dim in dims:
+            row += dim * wq
             wq *= w
         total += zp * row
         zp *= z

@@ -6,8 +6,10 @@ sum l_j (alpha_j - beta_j) = 0 mod k.  As P_(p,q) = H_(p,q) + |z|^2 P_(p-1,q-1)
 with |z|^2 invariant, that is also N(p, q) - N(p-1, q-1), N counting all
 invariant monomials z^alpha zbar^beta.  Three routes to the count live
 here: a literal enumeration (the oracle), a residue-class convolution
-for N (the production path), and the n = 2 shift recurrence that reduces
-any bidegree to a k x k base table.
+for N (the route for n >= 3, and the independent check for n = 2), and,
+for n = 2, the paper's count m_pq + n_pq - [k | p - q] in closed form,
+O(1) per bidegree after one modular inverse per space.  The n = 2 shift
+recurrence reduces any bidegree to a k x k base table filled from it.
 """
 from __future__ import annotations
 
@@ -159,17 +161,47 @@ class MNCounts:
     n_pq: int
 
 
+def _congruence(space: LensSpace) -> tuple[int, int, int]:
+    """(d, s, c), which bind the n = 2 closed form of the space.
+
+    With r = p - q, both congruences of `MNCounts` read
+    (l_1 - l_2) x = -l_2 r mod k, for x = alpha_1 and for x = -beta_1.
+    l_2 is a unit, so they are solvable iff d = gcd(k, l_1 - l_2) divides
+    r, and then exactly for x = a mod s, where s = k/d, a = c r/d mod s
+    and c = -l_2 ((l_1 - l_2)/d)^-1 mod s.  Hence n_pq = floor((p - a)/s)
+    + 1 and m_pq = floor((q + a)/s) + [a = 0].  As c is a unit mod s,
+    a = 0 iff k | r, so dim = floor((p - a)/s) + floor((q + a)/s) + 1.
+    """
+    l1, l2 = space.weights
+    d = gcd_invariant(space)
+    s = space.k // d
+    return d, s, -l2 * pow((l1 - l2) // d, -1, s) % s
+
+
+def _closed_form(space: LensSpace) -> Callable[[int, int], int]:
+    """The n = 2 dimension as a function of p, q >= 0, in O(1) per cell."""
+    d, s, c = _congruence(space)
+
+    def dim(p: int, q: int) -> int:
+        if (p - q) % d:
+            return 0
+        a = c * ((p - q) // d) % s
+        return (p - a) // s + (q + a) // s + 1
+
+    return dim
+
+
 def mn_counts(space: LensSpace, p: int, q: int) -> MNCounts:
-    """Count the two congruence branches separately (n = 2 only)."""
+    """Count the two congruence branches separately (n = 2 only), in O(1)."""
     if space.n != 2:
         raise UnsupportedDimension(f"mn_counts needs n = 2, got n={space.n}")
     if p < 0 or q < 0:
         raise ValueError("bidegree components must be nonnegative")
-    k = space.k
-    l1, l2 = space.weights
-    m_pq = sum(1 for b1 in range(q + 1) if (l2 * (p - q + b1) - l1 * b1) % k == 0)
-    n_pq = sum(1 for a1 in range(p + 1) if (l1 * a1 + l2 * (p - q - a1)) % k == 0)
-    return MNCounts(m_pq=m_pq, n_pq=n_pq)
+    d, s, c = _congruence(space)
+    if (p - q) % d:
+        return MNCounts(m_pq=0, n_pq=0)
+    a = c * ((p - q) // d) % s
+    return MNCounts(m_pq=(q + a) // s + (a == 0), n_pq=(p - a) // s + 1)
 
 
 @lru_cache(maxsize=None)
@@ -177,27 +209,32 @@ def base_dim_table(space: LensSpace) -> tuple[tuple[int, ...], ...]:
     """The k x k table of invariant dimensions for 0 <= p, q < k (n = 2).
 
     The shift recurrence reduces every bidegree to this table, so it is
-    the complete spectral fingerprint of a 3-d lens space.  Filled by the
-    convolution path; cached per space.
+    the complete spectral fingerprint of a 3-d lens space.  Filled from
+    the closed form in O(k^2); cached per space.
     """
     if space.n != 2:
         raise UnsupportedDimension(f"base table needs n = 2, got n={space.n}")
-    k = space.k
-    return tuple(
-        tuple(dim_invariant_dp(space, p, q) for q in range(k)) for p in range(k)
-    )
+    k, dim = space.k, _closed_form(space)
+    return tuple(tuple(dim(p, q) for q in range(k)) for p in range(k))
 
 
-def dim_invariant_recurrence(space: LensSpace, p: int, q: int) -> int:
+def dim_invariant_recurrence(
+    space: LensSpace, p: int, q: int, budget: int | None = DEFAULT_BUDGET
+) -> int:
     """Invariant dimension via the n = 2 reduction to the base table.
 
     Returns 0 when d = gcd(k, l_1 - l_2) does not divide p - q; otherwise
-    base[p%k][q%k] + d*(floor(p/k) + floor(q/k)).
+    base[p%k][q%k] + d*(floor(p/k) + floor(q/k)).  The table's k^2
+    entries are charged against the budget, even when cached; over it
+    raises ResourceLimit before the fill.
     """
     if space.n != 2:
         raise UnsupportedDimension(f"recurrence needs n = 2, got n={space.n}")
     if p < 0 or q < 0:
         raise ValueError("bidegree components must be nonnegative")
+    entries = space.k**2
+    if budget is not None and entries > budget:
+        raise ResourceLimit(f"base table of {entries} entries exceeds budget {budget}")
     return dim_cell(space)(p, q)
 
 
@@ -205,8 +242,10 @@ def dim_cell(space: LensSpace) -> Callable[[int, int], int]:
     """dim_invariant(space, p, q) as a function of p, q >= 0 alone.
 
     For n = 2 the base table, k and d = gcd(k, l_1 - l_2) are bound once,
-    so a walk over many cells pays for them once; higher n binds the
-    space to the convolution.  Bidegrees are not sign-checked.
+    so a walk over many cells pays one O(k^2) fill and then one table
+    lookup per cell, which is cheaper than the closed form per cell;
+    higher n binds the space to the convolution.  Bidegrees are not
+    sign-checked.
     """
     if space.n != 2:
         return partial(dim_invariant_dp, space)
@@ -223,13 +262,15 @@ def dim_cell(space: LensSpace) -> Callable[[int, int], int]:
 def dim_invariant(space: LensSpace, p: int, q: int) -> int:
     """Invariant dimension by the fastest exact route for the space.
 
-    n = 2 uses the base-table recurrence (O(1) after a k x k fill);
-    higher n uses the residue convolution.  k = 1 degenerates to the full
+    n = 2 evaluates the closed form in O(1) and builds no table; higher
+    n uses the residue convolution.  k = 1 degenerates to the full
     sphere eigenspace dimension either way.
     """
-    if space.n == 2:
-        return dim_invariant_recurrence(space, p, q)
-    return dim_invariant_dp(space, p, q)
+    if space.n != 2:
+        return dim_invariant_dp(space, p, q)
+    if p < 0 or q < 0:
+        raise ValueError("bidegree components must be nonnegative")
+    return _closed_form(space)(p, q)
 
 
 def clear_caches() -> None:

@@ -99,10 +99,20 @@ def multiplicity(space: LensSpace, lam: int) -> int:
 
 
 def _sieve(space: LensSpace, lambda_max: int, budget: int | None) -> dict[int, int]:
-    """Eigenvalue -> multiplicity (positive entries only), in one cell walk."""
+    """Eigenvalue -> multiplicity (positive entries only), in one cell walk.
+
+    The walk's cells, plus the base-table fill for n = 2 (`_fill`), are
+    charged before `dim_cell` builds anything; over budget raises
+    ResourceLimit.
+    """
+    if budget is not None:
+        work = sum(len(ps) * top for ps, top in _rows(space.n, lambda_max))
+        work += _fill(space)
+        if work > budget:
+            raise ResourceLimit(f"spectrum work {work} exceeds budget {budget}")
     by_half = [0] * (lambda_max // 2 + 1)
     cell = dim_cell(space)
-    for ps, top in _rows(space.n, lambda_max, budget):
+    for ps, top in _rows(space.n, lambda_max):
         for p, q in product(ps, range(1, top + 1)):
             by_half[q * (p + space.n - 1)] += cell(p, q)
     return {2 * half: m for half, m in enumerate(by_half) if m}
@@ -113,7 +123,8 @@ def build_spectrum(
 ) -> SpectrumTable:
     """Assemble the eigenvalue table for all even eigenvalues <= lambda_max.
 
-    More than `budget` (p, q) cells under lambda_max raise ResourceLimit.
+    More than `budget` (p, q) cells under lambda_max, plus k^2 for an
+    n = 2 base table, raise ResourceLimit before any table is built.
     """
     if lambda_max < 0:
         raise ValueError("lambda_max must be nonnegative")
@@ -153,19 +164,28 @@ def _counts(spaces, lams, budget: int | None) -> list[list[int]]:
     ]
 
 
+def _fill(space: LensSpace) -> int:
+    """The charge of the n = 2 base table: k^2 closed-form entries.
+
+    Charged even when the table is cached, so that a verdict does not
+    depend on cache state.  0 for n >= 3, which has no base table.
+    """
+    return space.k**2 if space.n == 2 else 0
+
+
 def _work(space: LensSpace, halves: list[int]) -> int:
     """The charge of counting the space at every half-cutoff in `halves`.
 
     A region of `_hyperbola` has at most isqrt(half) rows and as many
-    columns of two lines.  n = 2: k^3 for the base table's k^2 convolutions,
-    even when cached, k^2 prefix sums, one per line.  n >= 3, two regions:
-    (n + 1) k per cumulative profile row (`_profile_rows` makes n + 1
-    passes) and k per line, a correlation.
+    columns of two lines.  n = 2: the base-table fill (`_fill`), k^2
+    prefix sums, one per line.  n >= 3, two regions: (n + 1) k per
+    cumulative profile row (`_profile_rows` makes n + 1 passes) and k per
+    line, a correlation.
     """
     n, k, largest = space.n, space.k, max(halves, default=0)
     lines = sum(3 * isqrt(half) for half in halves)
     if n == 2:
-        return k**3 + k * k + lines
+        return _fill(space) + k * k + lines
     rows = _table_cap(largest - n + 1) + _table_cap(largest // (n - 1)) + 2
     return (n + 1) * k * rows + 2 * k * lines
 

@@ -11,7 +11,7 @@ from functools import partial
 from itertools import product, starmap
 from math import comb
 
-from .core import DimensionTooSmall, ResourceLimit
+from .core import DimensionTooSmall
 
 
 def dim_hpq(n: int, p: int, q: int) -> int:
@@ -40,17 +40,12 @@ def eigenvalue(n: int, p: int, q: int) -> int:
     return 2 * q * (p + n - 1)
 
 
-def _rows(n: int, lam: int, budget: int | None = None):
+def _rows(n: int, lam: int):
     """Runs of rows of the cells q >= 1, 2q(p + n - 1) <= lam.
 
     Yields (ps, top): ps is a range of rows p whose cells are q = 1..top.
-    The top changes only O(sqrt(lam)) times, so runs are few.  Raises
-    ResourceLimit, before the walk, if the cells outnumber the budget.
+    The top changes only O(sqrt(lam)) times, so runs are few.
     """
-    if budget is not None:
-        cells = sum(len(ps) * top for ps, top in _rows(n, lam))
-        if cells > budget:
-            raise ResourceLimit(f"{cells} grid cell evaluations exceed budget {budget}")
     half = lam // 2
     width = n - 1  # p + n - 1 of the run's first row
     while width <= half:

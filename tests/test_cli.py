@@ -6,7 +6,9 @@ import time
 
 import pytest
 
-from kohnspec.cli import main
+from kohnspec.cli import build_parser, main
+from kohnspec.core import DEFAULT_BUDGET, parse_lens_spec
+from kohnspec.invariant import dim_invariant_dp
 
 
 def run(capsys, *argv):
@@ -258,10 +260,70 @@ def test_count_charges_the_base_table_fill_before_it(capsys, monkeypatch):
 
     calls = []
     monkeypatch.setattr(spectrum, "base_dim_table", lambda *args: calls.append(args))
-    code, out, err = run(capsys, "count", "--lens", "223:1,2", "--lambda-max", "4")
+    code, out, err = run(capsys, "count", "--lens", "2237:1,2", "--lambda-max", "4")
     assert code == 2 and out == ""
     assert "budget" in err
     assert calls == []
+    # 2 k^2 (fill and prefix sums) plus 3 lines: k = 2236 is the largest
+    # order counted under the default budget.
+    below = spectrum._work(parse_lens_spec("2236:1,3"), [2])
+    assert below == 2 * 2236**2 + 3 <= DEFAULT_BUDGET
+
+
+def test_spectrum_charges_the_base_table_fill_before_it(capsys, monkeypatch):
+    from kohnspec import invariant
+
+    calls = []
+    monkeypatch.setattr(invariant, "base_dim_table", lambda *args: calls.append(args))
+    argv = ["spectrum", "--lens", "4099:1,2", "--lambda-max", "4"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "budget" in err
+    assert calls == []
+
+
+def test_dim_auto_builds_no_base_table(capsys, monkeypatch):
+    from kohnspec import invariant
+
+    calls = []
+    monkeypatch.setattr(invariant, "base_dim_table", lambda *args: calls.append(args))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "dim", "--lens", "229:1,2", "--p", "1", "--q", "1")
+    assert time.perf_counter() - start < 0.05
+    assert code == 0 and calls == []
+    assert int(out) == dim_invariant_dp(parse_lens_spec("229:1,2"), 1, 1)
+
+
+def test_dim_recurrence_charges_the_base_table(capsys):
+    argv = ["dim", "--lens", "229:1,2", "--p", "1", "--q", "1", "--method", "recurrence"]
+    code, out, err = run(capsys, *argv, "--budget", str(229**2 - 1))
+    assert code == 2 and out == ""
+    assert "budget" in err
+    code, out, _ = run(capsys, *argv, "--budget", str(229**2))
+    assert code == 0 and out.strip() == "1"
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["isospec", "--lens", "5:1,2"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "isospec", "--lens", "7:1,2", "--lens", "7:1,3")
+    assert code == 0
+    assert json.loads(out) == {"witness": None, "spectra_equal": False, "d_equal": True}
+
+
+def test_subcommands_back_to_back_match_each_alone(capsys):
+    jobs = [
+        ["spectrum", "--lens", "5:1,2", "--lambda-max", "40", "--out", "json"],
+        ["weyl", "--lens", "3:1,1", "--lambda-max", "200", "--stride", "50"],
+    ]
+    alone = []
+    for argv in jobs:
+        build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert [run(capsys, *argv) for argv in jobs] == alone
 
 
 def test_count_reaches_large_cutoffs(capsys):

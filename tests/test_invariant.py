@@ -2,7 +2,7 @@ import math
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kohnspec.core import ResourceLimit, UnsupportedDimension, make_lens_space
 from kohnspec.invariant import (
@@ -101,6 +101,52 @@ def test_negative_bidegree_rejected_by_every_route():
         for p, q in ((-1, 1), (1, -1)):
             with pytest.raises(ValueError, match="nonnegative"):
                 route(space, p, q)
+
+
+def literal_mn_counts(space, p, q):
+    """The two congruence branches counted one solution candidate at a time."""
+    k = space.k
+    l1, l2 = space.weights
+    m_pq = sum(1 for b1 in range(q + 1) if (l2 * (p - q + b1) - l1 * b1) % k == 0)
+    n_pq = sum(1 for a1 in range(p + 1) if (l1 * a1 + l2 * (p - q - a1)) % k == 0)
+    return m_pq, n_pq
+
+
+def n2_space(k, first, second):
+    """L(k; l1, l2) with the weights drawn among the units mod k."""
+    units = [a for a in range(k) if math.gcd(a, k) == 1]
+    return make_lens_space(2, k, [units[first % len(units)], units[second % len(units)]])
+
+
+n2_spaces = st.builds(
+    n2_space, st.integers(1, 60), st.integers(0, 10**6), st.integers(0, 10**6)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n2_spaces, st.integers(0, 180), st.integers(0, 180))
+@example(make_lens_space(2, 1, [1, 1]), 4, 7)
+@example(make_lens_space(2, 2, [1, 1]), 3, 1)
+@example(make_lens_space(2, 9, [4, 4]), 11, 2)
+@example(make_lens_space(2, 12, [1, 7]), 13, 7)
+def test_mn_counts_match_the_literal_count(space, p, q):
+    counts = mn_counts(space, p, q)
+    assert (counts.m_pq, counts.n_pq) == literal_mn_counts(space, p, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n2_spaces, st.lists(st.tuples(st.integers(0, 180), st.integers(0, 180)), max_size=8))
+@example(make_lens_space(2, 1, [1, 1]), [(0, 0), (3, 2)])
+@example(make_lens_space(2, 2, [1, 1]), [(1, 1), (5, 2)])
+@example(make_lens_space(2, 7, [3, 3]), [(9, 2), (4, 4), (8, 3)])
+@example(make_lens_space(2, 60, [1, 31]), [(40, 10), (179, 1), (7, 8)])
+def test_closed_form_matches_the_convolution(space, cells):
+    k = space.k
+    table = [[dim_invariant_dp(space, p, q) for q in range(k)] for p in range(k)]
+    assert [list(row) for row in base_dim_table(space)] == table
+    for p, q in cells:
+        p, q = p % (3 * k + 1), q % (3 * k + 1)
+        assert dim_invariant(space, p, q) == dim_invariant_dp(space, p, q), (p, q)
 
 
 def test_mn_counts_example():

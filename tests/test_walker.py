@@ -136,20 +136,21 @@ def test_c_matrix_matches_rectangle_scan(k, lam):
 
 def test_budget_charges_each_evaluation_before_the_walk(monkeypatch):
     space = make_lens_space(2, 3, [1, 2])
-    cells = counting_grid_size(2, 400)
-    build_spectrum(space, 400, budget=cells)
+    # The cells plus k^2 for the n = 2 base table.
+    work = counting_grid_size(2, 400) + 9
+    build_spectrum(space, 400, budget=work)
     calls = []
     monkeypatch.setattr(
         spectrum, "dim_cell", lambda space: lambda *args: calls.append(args)
     )
     with pytest.raises(ResourceLimit):
-        build_spectrum(space, 400, budget=cells - 1)
+        build_spectrum(space, 400, budget=work - 1)
     assert calls == []
-    # n = 2 setup: k^3 for the base table's convolutions, k^2 prefix sums;
-    # k = 1 for the sphere.  Each cutoff: isqrt(lam/2) rows, as many
+    # n = 2 setup: k^2 for the base table's fill, k^2 prefix sums; both
+    # are 1 for the sphere.  Each cutoff: isqrt(lam/2) rows, as many
     # columns, two line evaluations per column.
     lines = sum(3 * isqrt(lam // 2) for lam in range(40, 401, 40))
-    remainder = 27 + 9 + lines
+    remainder = 9 + 9 + lines
     weyl = remainder + 1 + 1 + lines
     weyl_ratio_series(space, 400, 40, budget=weyl)
     remainder_experiment(space, 400, 10, budget=remainder)
