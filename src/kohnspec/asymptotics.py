@@ -15,10 +15,10 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from .core import (
-    DimensionTooSmall, LensSpace, NonConvergence, UnsupportedDimension, make_lens_space
+    DEFAULT_BUDGET, DimensionTooSmall, LensSpace, NonConvergence, UnsupportedDimension,
+    make_lens_space,
 )
-from .spectrum import _counts, lens_counting
-from .sphere import _fold
+from .spectrum import _counts, _sum_lines, lens_counting
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,12 @@ def weyl_ratio_series(
     space: LensSpace,
     lambda_max: int,
     stride: int,
-    budget: int | None = None,
+    budget: int | None = DEFAULT_BUDGET,
 ) -> list[RatioSample]:
     """Exact N_L/N ratio samples at lam = stride, 2*stride, ..., lambda_max.
 
-    The optional budget caps the work of both series' counts together;
-    exceeding it raises ResourceLimit before any is done.
+    The budget (None: unbounded) caps the work of both series' counts
+    together; exceeding it raises ResourceLimit before any is done.
     """
     if stride < 2 or stride % 2 != 0:
         raise ValueError("stride must be a positive even integer")
@@ -246,19 +246,24 @@ def lemma_ratio_decay(n: int, lambda_list: list[int]) -> list[Fraction]:
 
     A sums C(p+n-2, n-2) C(q+n-2, n-2) over the counting index set at each
     half-eigenvalue cutoff; B sums the full dimension terms, so it is the
-    sphere count at twice the cutoff.
+    sphere count at twice the cutoff.  A is summed line by line, each line
+    in closed form by the hockey-stick identity sum_(j<=m) C(j, r) = C(m+1, r+1).
     """
     if n < 2:
         raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
 
-    def binomials(p: int, q: int) -> int:
-        return comb(p + n - 2, n - 2) * comb(q + n - 2, n - 2)
+    def row(u: int, top: int) -> int:
+        return comb(u + n - 2, n - 2) * comb(top, n - 1)
+
+    def column(v: int, top: int) -> int:
+        return comb(v - 1, n - 2) * comb(top + n - 1, n - 1)
 
     sphere = make_lens_space(n, 1, [1] * n)
+    (b_sums,) = _counts([sphere], [2 * h for h in lambda_list], None)
     # Below the first eigenvalue A = B = 0; the ratio is taken as 0.
     return [
-        Fraction(_fold(n, 2 * h, binomials), lens_counting(sphere, 2 * h, None) or 1)
-        for h in lambda_list
+        Fraction(_sum_lines(h, n - 1, row, column), b or 1)
+        for h, b in zip(lambda_list, b_sums)
     ]
 
 
@@ -271,13 +276,13 @@ class RemainderSample:
 
 
 def remainder_experiment(
-    space: LensSpace, lambda_max: int, samples: int, budget: int | None = None
+    space: LensSpace, lambda_max: int, samples: int, budget: int | None = DEFAULT_BUDGET
 ) -> list[RemainderSample]:
     """Tabulate N_L(lam) - predicted*lam^n at evenly spaced cutoffs.
 
     Normalized columns let the conjectured lam^(n-1) log lam remainder
-    growth be eyeballed; nothing is asserted.  The optional budget caps the
-    counts' work; exceeding it raises ResourceLimit before any is done.
+    growth be eyeballed; nothing is asserted.  The budget (None: unbounded)
+    caps the counts' work; over it raises ResourceLimit before any is done.
     """
     if samples < 1:
         raise ValueError("need at least one sample")

@@ -175,7 +175,7 @@ def cmd_isospec(args) -> int:
         {
             "witness": witness,
             "spectra_equal": isospectral.spectra_equal_up_to(
-                first, second, args.lambda_max
+                first, second, args.lambda_max, _resolve_budget(args)
             ),
             "d_equal": d_equal,
         }

@@ -33,6 +33,12 @@ class ResourceLimit(KohnSpecError):
 DEFAULT_BUDGET = 10**7
 
 
+def charge(work: int, budget: int | None) -> None:
+    """Refuse `work` over `budget` before it starts; None is unbounded."""
+    if budget is not None and work > budget:
+        raise ResourceLimit(f"work {work} exceeds budget {budget}")
+
+
 class InvalidEigenvalue(KohnSpecError):
     """Eigenvalues of the Kohn Laplacian are positive even integers."""
 

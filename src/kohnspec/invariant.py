@@ -21,8 +21,8 @@ from typing import Callable, Iterator
 from .core import (
     DEFAULT_BUDGET,
     LensSpace,
-    ResourceLimit,
     UnsupportedDimension,
+    charge,
     gcd_invariant,
 )
 
@@ -54,12 +54,7 @@ def dim_invariant_bruteforce(
     if p < 0 or q < 0:
         raise ValueError("bidegree components must be nonnegative")
     n, k, weights = space.n, space.k, space.weights
-    n_alpha = comb(p + n - 1, n - 1)
-    n_beta = comb(q + n - 1, n - 1)
-    if n_alpha * n_beta > budget:
-        raise ResourceLimit(
-            f"{n_alpha * n_beta} candidate pairs exceed budget {budget}"
-        )
+    charge(comb(p + n - 1, n - 1) * comb(q + n - 1, n - 1), budget)
 
     def residue(t: tuple[int, ...]) -> int:
         return sum(w * e for w, e in zip(weights, t)) % k
@@ -232,9 +227,7 @@ def dim_invariant_recurrence(
         raise UnsupportedDimension(f"recurrence needs n = 2, got n={space.n}")
     if p < 0 or q < 0:
         raise ValueError("bidegree components must be nonnegative")
-    entries = space.k**2
-    if budget is not None and entries > budget:
-        raise ResourceLimit(f"base table of {entries} entries exceeds budget {budget}")
+    charge(space.k**2, budget)
     return dim_cell(space)(p, q)
 
 

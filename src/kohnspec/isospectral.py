@@ -14,15 +14,17 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .core import (
+    DEFAULT_BUDGET,
     InvalidEigenvalue,
     InvalidOrder,
     LensSpace,
     MismatchedSpaces,
     UnsupportedDimension,
+    charge,
     gcd_invariant,
 )
 from .invariant import base_dim_table, dim_invariant_dp
-from .spectrum import _bidegrees_for, multiplicity_table
+from .spectrum import _bidegrees_for, _sieve_work, multiplicity_table
 
 
 @dataclass(frozen=True)
@@ -71,13 +73,17 @@ def condition4_witness(space: LensSpace, other: LensSpace) -> IsometryWitness | 
     return None
 
 
-def spectra_equal_up_to(space: LensSpace, other: LensSpace, lambda_max: int) -> bool:
+def spectra_equal_up_to(
+    space: LensSpace, other: LensSpace, lambda_max: int, budget: int = DEFAULT_BUDGET
+) -> bool:
     """Whether the multiplicity tables agree for every even eigenvalue <= cutoff.
 
-    k may differ between the spaces; n may not.
+    k may differ between the spaces; n may not.  Both sieves are charged
+    together, each as in `build_spectrum`, before either is built.
     """
     if space.n != other.n:
         raise MismatchedSpaces("spectral comparison needs equal n")
+    charge(_sieve_work(space, lambda_max) + _sieve_work(other, lambda_max), budget)
     return multiplicity_table(space, lambda_max) == multiplicity_table(other, lambda_max)
 
 

@@ -9,15 +9,18 @@ lam/2.  k = 1 encodes the sphere.
 
 Every count N_L(lam) comes from `_counts`, at any list of cutoffs, and
 visits no cell.  The cells q(p + n - 1) <= lam/2 lie under a hyperbola,
-which the Dirichlet split cuts into O(sqrt(lam)) rows and columns, and
-each line is summed in closed form: for n = 2 from prefix sums of the
+which `_sum_lines`, the one Dirichlet split, cuts into O(sqrt(lam)) rows
+and columns, each summed in closed form: for n = 2 from prefix sums of the
 k x k base table, for n >= 3 as one correlation of a profile row with a
 cumulative profile row, through the difference N(p, q) - N(p-1, q-1).
+`counting_grid_size` and the lemma sums of `asymptotics` are line sums
+too.  Tables, counts and comparisons check their work with `core.charge`.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import accumulate, product
 from math import isqrt
 
@@ -25,7 +28,7 @@ from .core import (
     DEFAULT_BUDGET,
     InvalidEigenvalue,
     LensSpace,
-    ResourceLimit,
+    charge,
     gcd_invariant,
 )
 from .invariant import (
@@ -98,18 +101,15 @@ def multiplicity(space: LensSpace, lam: int) -> int:
     return sum(c.dim for c in _contributors(space, lam))
 
 
-def _sieve(space: LensSpace, lambda_max: int, budget: int | None) -> dict[int, int]:
-    """Eigenvalue -> multiplicity (positive entries only), in one cell walk.
+def _sieve_work(space: LensSpace, lambda_max: int) -> int:
+    """The charge of `_sieve`: its cells, plus k^2 for an n = 2 base table."""
+    # The table is charged even when cached: a verdict must not depend on
+    # cache state.
+    return counting_grid_size(space.n, lambda_max) + (space.k**2 if space.n == 2 else 0)
 
-    The walk's cells, plus the base-table fill for n = 2 (`_fill`), are
-    charged before `dim_cell` builds anything; over budget raises
-    ResourceLimit.
-    """
-    if budget is not None:
-        work = sum(len(ps) * top for ps, top in _rows(space.n, lambda_max))
-        work += _fill(space)
-        if work > budget:
-            raise ResourceLimit(f"spectrum work {work} exceeds budget {budget}")
+
+def _sieve(space: LensSpace, lambda_max: int) -> dict[int, int]:
+    """Eigenvalue -> multiplicity (positive entries only), in one cell walk."""
     by_half = [0] * (lambda_max // 2 + 1)
     cell = dim_cell(space)
     for ps, top in _rows(space.n, lambda_max):
@@ -128,12 +128,13 @@ def build_spectrum(
     """
     if lambda_max < 0:
         raise ValueError("lambda_max must be nonnegative")
-    return SpectrumTable(space, lambda_max, _sieve(space, lambda_max, budget))
+    charge(_sieve_work(space, lambda_max), budget)
+    return SpectrumTable(space, lambda_max, _sieve(space, lambda_max))
 
 
 def multiplicity_table(space: LensSpace, lambda_max: int) -> dict[int, int]:
     """Map of eigenvalue -> multiplicity (positive entries only)."""
-    return _sieve(space, lambda_max, None)
+    return _sieve(space, lambda_max)
 
 
 def lens_counting(
@@ -155,52 +156,41 @@ def _counts(spaces, lams, budget: int | None) -> list[list[int]]:
     if any(lam < 0 for lam in lams):
         raise ValueError("eigenvalue cutoff must be nonnegative")
     halves = [lam // 2 for lam in lams]
-    work = sum(_work(space, halves) for space in spaces)
-    if budget is not None and work > budget:
-        raise ResourceLimit(f"counting work {work} exceeds budget {budget}")
+    charge(sum(_work(space, halves) for space in spaces), budget)
     return [
         (_count_recurrence if space.n == 2 else _count_convolution)(space, halves)
         for space in spaces
     ]
 
 
-def _fill(space: LensSpace) -> int:
-    """The charge of the n = 2 base table: k^2 closed-form entries.
-
-    Charged even when the table is cached, so that a verdict does not
-    depend on cache state.  0 for n >= 3, which has no base table.
-    """
-    return space.k**2 if space.n == 2 else 0
-
-
 def _work(space: LensSpace, halves: list[int]) -> int:
     """The charge of counting the space at every half-cutoff in `halves`.
 
-    A region of `_hyperbola` has at most isqrt(half) rows and as many
-    columns of two lines.  n = 2: the base-table fill (`_fill`), k^2
-    prefix sums, one per line.  n >= 3, two regions: (n + 1) k per
-    cumulative profile row (`_profile_rows` makes n + 1 passes) and k per
-    line, a correlation.
+    `_sum_lines` evaluates at most isqrt(half) rows and as many columns
+    of two lines.  n = 2: k^2 for the base table's fill, k^2 prefix sums,
+    one per line.  n >= 3, two regions: (n + 1) k per cumulative profile
+    row (`_profile_rows` makes n + 1 passes) and k per line, a correlation.
     """
     n, k, largest = space.n, space.k, max(halves, default=0)
     lines = sum(3 * isqrt(half) for half in halves)
-    if n == 2:
-        return _fill(space) + k * k + lines
+    if n == 2:  # The fill is charged even when cached, as in `_sieve_work`.
+        return 2 * k * k + lines
     rows = _table_cap(largest - n + 1) + _table_cap(largest // (n - 1)) + 2
     return (n + 1) * k * rows + 2 * k * lines
 
 
-def _hyperbola(half: int, low: int):
-    """Cut the cells u >= 1, v >= low, u v <= half into lines.
+def _sum_lines(half: int, low: int, row, column) -> int:
+    """Sum over the cells u >= 1, v >= low, u v <= half: the hyperbola split.
 
-    Returns s = isqrt(half) and one-pass iterators of the rows and the
-    columns.  Row (u, top), u <= s, holds the cells v = low..top; column
-    (v, top), low <= v <= s, holds u = s+1..top.  Every cell lies on
-    exactly one line: past u = s, v <= half/(s+1) < s+1.
+    row(u, top) sums the cells v = low..top of a row u <= s = isqrt(half),
+    top = half // u >= low.  column(v, b) - column(v, a) sums the cells
+    u = a+1..b of column v; each column low <= v <= s adds u = s+1..half // v.
+    Past u = s, v <= half/(s+1) < s+1, so every cell is on one line.  A
+    negative half has no cells.
     """
-    s = isqrt(half)
-    rows = ((u, half // u) for u in range(1, s + 1) if half // u >= low)
-    return s, rows, ((v, half // v) for v in range(low, s + 1))
+    s = isqrt(max(half, 0))
+    total = sum(row(u, half // u) for u in range(1, s + 1) if half // u >= low)
+    return total + sum(column(v, half // v) - column(v, s) for v in range(low, s + 1))
 
 
 def _count_recurrence(space: LensSpace, halves: list[int]) -> list[int]:
@@ -227,14 +217,11 @@ def _count_recurrence(space: LensSpace, halves: list[int]) -> list[int]:
             + d * ((a // k) * (c * full + part) + full * c * (c - 1) // 2 + c * part)
         )
 
-    def count(half: int) -> int:
-        s, rows, columns = _hyperbola(half, 1)
-        total = sum(line(fixed_q, q, top) for q, top in rows)
-        for v, top in columns:
-            total += line(fixed_p, v - 1, top + 1) - line(fixed_p, v - 1, s + 1)
-        return total
+    # Row q holds p = 0..top - 1; column v = p + 1 holds q = 0..top.
+    def column(v: int, top: int) -> int:
+        return line(fixed_p, v - 1, top + 1)
 
-    return [count(half) for half in halves]
+    return [_sum_lines(half, 1, partial(line, fixed_q), column) for half in halves]
 
 
 def _count_convolution(space: LensSpace, halves: list[int]) -> list[int]:
@@ -250,21 +237,21 @@ def _count_convolution(space: LensSpace, halves: list[int]) -> list[int]:
     cum_a = _profile_table(space.weights + (0,), k, largest - n + 1)
     cum_b = _profile_table(negated + (0,), k, largest // (n - 1))
 
-    def plain(cum, t: int):
-        return cum[0] if t == 0 else [x - y for x, y in zip(cum[t], cum[t - 1])]
+    def plain(c):
+        """Row t of the table whose cumulative rows are c, memoized."""
+        return cache(lambda t: [x - y for x, y in zip(c[t], c[t - 1])] if t else c[0])
+
+    # A column takes its plain row at both ends, and a sweep at every cutoff.
+    plain_a, plain_b = plain(cum_a), plain(cum_b)
 
     def region(half: int, low: int, shift: int) -> int:
         """Sum of N(v - low, u - shift) over u >= 1, v >= low, u v <= half."""
-        s, rows, columns = _hyperbola(half, low)
-        total = sum(
-            _correlate_zero(cum_a[top - low], plain(cum_b, u - shift), k)
-            for u, top in rows
+        return _sum_lines(
+            half,
+            low,
+            lambda u, t: _correlate_zero(cum_a[t - low], plain_b(u - shift), k),
+            lambda v, t: _correlate_zero(plain_a(v - low), cum_b[t - shift], k),
         )
-        for v, top in columns:
-            a = plain(cum_a, v - low)
-            total += _correlate_zero(a, cum_b[top - shift], k)
-            total -= _correlate_zero(a, cum_b[s - shift], k)
-        return total
 
     # (p, q) = (v - n + 1, u) and (p - 1, q - 1) = (v - n, u - 1).
     return [region(half, n - 1, 0) - region(half, n, 1) for half in halves]
@@ -272,7 +259,8 @@ def _count_convolution(space: LensSpace, halves: list[int]) -> list[int]:
 
 def counting_grid_size(n: int, lam: int) -> int:
     """Number of (p, q) pairs the counting function sums over at cutoff lam."""
-    return sum(len(ps) * top for ps, top in _rows(n, lam))
+    # Row q holds v = p + n - 1 = n - 1..top; column v holds q = 1..top.
+    return _sum_lines(lam // 2, n - 1, lambda u, top: top - n + 2, lambda v, top: top)
 
 
 def spectrum_to_csv(table: SpectrumTable) -> str:

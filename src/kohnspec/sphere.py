@@ -3,7 +3,8 @@
 The eigenspaces of the Kohn Laplacian on the sphere are the bigraded
 harmonic spaces indexed by (p, q), of eigenvalue 2q(p + n - 1); the
 kernel (q = 0) is excluded from all counting.  The cell walker `_rows`
-serves tables, lemma sums and the `sphere_counting` oracle.
+serves only the spectrum sieve and the `sphere_counting` oracle; counts,
+the grid size and the lemma sums are line sums (`spectrum._sum_lines`).
 """
 from __future__ import annotations
 

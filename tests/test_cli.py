@@ -282,6 +282,26 @@ def test_spectrum_charges_the_base_table_fill_before_it(capsys, monkeypatch):
     assert calls == []
 
 
+def test_isospec_charges_both_sieves_before_either(capsys, monkeypatch):
+    from kohnspec import spectrum
+
+    calls = []
+    monkeypatch.setattr(spectrum, "dim_cell", lambda *args: calls.append(args))
+    argv = ["isospec", "--lens", "7:1,2", "--lens", "7:1,3", "--lambda-max", "2000000"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "budget" in err
+    assert calls == []
+    # Each sieve alone walks more cells than the default budget allows.
+    assert spectrum.counting_grid_size(2, 2_000_000) == 13_970_034
+    monkeypatch.setenv("KOHN_LENS_BUDGET", "1")
+    code, out, err = run(capsys, *argv[:-1], "100")
+    assert code == 2 and out == "" and "budget" in err
+    assert calls == []
+
+
 def test_dim_auto_builds_no_base_table(capsys, monkeypatch):
     from kohnspec import invariant
 

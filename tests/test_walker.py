@@ -1,18 +1,22 @@
-"""Property tests of the (p, q) cell walker and the closed-form counts.
+"""Property tests of the (p, q) cell walker and of the hyperbola line sums.
 
 The walker sums over the cells q >= 1, 2q(p + n - 1) <= lam under one
-cutoff.  Its results are compared with divisor enumeration
-(`multiplicity`) and with literal scans of the (p, q) rectangle.  The
-walker in turn is the oracle for the closed-form counts of
-`spectrum._counts`, which serve `count`, `weyl` and `remainder`.
+cutoff; it serves the spectrum sieve and the `sphere_counting` oracle.
+Its results are compared with divisor enumeration (`multiplicity`) and
+with literal scans of the (p, q) rectangle.  The walker in turn is the
+oracle for the closed-form counts of `spectrum._counts`, which serve
+`count`, `weyl` and `remainder`.  Those counts, `counting_grid_size` and
+the lemma sums all go through `spectrum._sum_lines`, which is checked
+against a scan of every cell.  Every budget is charged before any work.
 """
+import time
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import comb, gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kohnspec import asymptotics, spectrum
 from kohnspec.asymptotics import (
@@ -22,9 +26,10 @@ from kohnspec.asymptotics import (
 )
 from kohnspec.core import DEFAULT_BUDGET, ResourceLimit, make_lens_space
 from kohnspec.invariant import dim_invariant
-from kohnspec.isospectral import c_matrix
+from kohnspec.isospectral import c_matrix, spectra_equal_up_to
 from kohnspec.spectrum import (
     _counts,
+    _sum_lines,
     build_spectrum,
     counting_grid_size,
     lens_counting,
@@ -124,6 +129,42 @@ def test_grid_size_and_ratio_decay_match_rectangle_scans(n, cutoffs):
     assert lemma_ratio_decay(n, halves) == expected
 
 
+polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-5, 5), max_size=5
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3000), st.integers(1, 6), polynomials)
+@example(0, 1, {(0, 0): 1})
+@example(-2, 1, {(0, 0): 1})
+@example(4, 6, {(1, 1): 2})
+def test_line_sums_match_a_scan_of_every_cell(half, low, coefficients):
+    def f(u, v):
+        return sum(c * u**i * v**j for (i, j), c in coefficients.items())
+
+    def row(u, top):
+        return sum(f(u, v) for v in range(low, top + 1))
+
+    def column(v, top):
+        return sum(f(u, v) for u in range(1, top + 1))
+
+    scan = sum(f(u, v) for u in range(1, half + 1) for v in range(low, half // u + 1))
+    assert _sum_lines(half, low, row, column) == scan
+
+
+def test_ratio_decay_sums_lines_not_cells():
+    start = time.perf_counter()
+    (ratio,) = lemma_ratio_decay(2, [10**8])
+    assert time.perf_counter() - start < 1
+    # For n = 2 every cell weighs 1 in A, so A is the grid size.
+    sphere_count = lens_counting(trivial_group(2), 2 * 10**8, None)
+    assert ratio == Fraction(counting_grid_size(2, 2 * 10**8), sphere_count)
+    for cutoffs in ([-1], [10, -2]):
+        with pytest.raises(ValueError):
+            lemma_ratio_decay(2, cutoffs)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 12), st.integers(1, 150).map(lambda h: 2 * h))
 def test_c_matrix_matches_rectangle_scan(k, lam):
@@ -139,12 +180,17 @@ def test_budget_charges_each_evaluation_before_the_walk(monkeypatch):
     # The cells plus k^2 for the n = 2 base table.
     work = counting_grid_size(2, 400) + 9
     build_spectrum(space, 400, budget=work)
+    other = make_lens_space(2, 3, [1, 1])
+    # Two sieves, each charged as above, together.
+    assert spectra_equal_up_to(space, other, 400, budget=2 * work) is False
     calls = []
     monkeypatch.setattr(
         spectrum, "dim_cell", lambda space: lambda *args: calls.append(args)
     )
     with pytest.raises(ResourceLimit):
         build_spectrum(space, 400, budget=work - 1)
+    with pytest.raises(ResourceLimit):
+        spectra_equal_up_to(space, other, 400, budget=2 * work - 1)
     assert calls == []
     # n = 2 setup: k^2 for the base table's fill, k^2 prefix sums; both
     # are 1 for the sphere.  Each cutoff: isqrt(lam/2) rows, as many
@@ -169,6 +215,15 @@ def test_count_charges_each_pass_over_the_profile_tables():
     charge = 4 * 2 * (2**20 + 1 + 2**19 + 1) + 2 * 2 * 3 * 1000
     with pytest.raises(ResourceLimit, match=f"work {charge} exceeds"):
         lens_counting(make_lens_space(3, 2, [1, 1, 1]), 2_000_000)
+
+
+def test_sweeps_are_charged_under_the_default_budget():
+    # The 12.6M charge of the count above, refused with no budget given.
+    space = make_lens_space(3, 2, [1, 1, 1])
+    with pytest.raises(ResourceLimit):
+        weyl_ratio_series(space, 2_000_000, 2_000_000)
+    with pytest.raises(ResourceLimit):
+        remainder_experiment(space, 2_000_000, 1)
 
 
 def test_dense_sweep_charges_its_setup_once():
