@@ -248,6 +248,7 @@ def lemma_ratio_decay(n: int, lambda_list: list[int]) -> list[Fraction]:
     half-eigenvalue cutoff; B sums the full dimension terms, so it is the
     sphere count at twice the cutoff.  A is summed line by line, each line
     in closed form by the hockey-stick identity sum_(j<=m) C(j, r) = C(m+1, r+1).
+    B's counts are charged against the default budget (`ResourceLimit`).
     """
     if n < 2:
         raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
@@ -259,7 +260,7 @@ def lemma_ratio_decay(n: int, lambda_list: list[int]) -> list[Fraction]:
         return comb(v - 1, n - 2) * comb(top + n - 1, n - 1)
 
     sphere = make_lens_space(n, 1, [1] * n)
-    (b_sums,) = _counts([sphere], [2 * h for h in lambda_list], None)
+    (b_sums,) = _counts([sphere], [2 * h for h in lambda_list], DEFAULT_BUDGET)
     # Below the first eigenvalue A = B = 0; the ratio is taken as 0.
     return [
         Fraction(_sum_lines(h, n - 1, row, column), b or 1)

@@ -10,12 +10,14 @@ for N (the route for n >= 3, and the independent check for n = 2), and,
 for n = 2, the paper's count m_pq + n_pq - [k | p - q] in closed form,
 O(1) per bidegree after one modular inverse per space.  The n = 2 shift
 recurrence reduces any bidegree to a k x k base table filled from it.
+The convolution's residue profiles are row functions, sized to no degree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
+from operator import add, mul
 from typing import Callable, Iterator
 
 from .core import (
@@ -72,40 +74,38 @@ def dim_invariant_bruteforce(
 
 
 @lru_cache(maxsize=None)
-def _profile_rows(weights: tuple[int, ...], k: int, cap: int) -> tuple[tuple[int, ...], ...]:
-    """Residue profiles up to degree `cap` for the given weight list.
+def _profile_rows(weights: tuple[int, ...], k: int) -> Callable[[int], tuple[int, ...]]:
+    """Residue profiles of the weight list, as a memoized function of degree.
 
-    Row t, column r counts exponent tuples of total degree t whose
-    weighted sum is r mod k.  Built coordinate by coordinate with the
-    in-place ascending recurrence new[t][r] = old[t][r] + new[t-1][r-w],
-    so the whole table costs O(len(weights) * cap * k).
+    Row t, column r counts exponent tuples of degree t whose weighted sum
+    is r mod k.  With m weights, rows t < mk are filled on demand, O(mk)
+    each, by new[t][r] = old[t][r] + new[t-1][r-w] on the newest rows of
+    the partial products.  The generating function is P(t)/(1 - t^k)^m,
+    deg P = m(k - 1), so row e + ck is a polynomial of degree < m in c for
+    all c >= 0: a later row is interpolated from rows e + ik, i < m, in O(mk).
+    A zero weight appended makes row t the sum of rows 0..t (a slack).
     """
-    rows = [[0] * k for _ in range(cap + 1)]
-    rows[0][0] = 1
-    for w in weights:
-        for t in range(1, cap + 1):
-            row = rows[t]
-            prev = rows[t - 1]
-            for r in range(k):
-                row[r] += prev[(r - w) % k]
-    return tuple(tuple(row) for row in rows)
+    m = len(weights)
+    newest = [(1,) + (0,) * (k - 1)] * m  # the newest row of each partial product
+    filled, memo = [newest[0]], {}
 
+    def profile(t: int) -> tuple[int, ...]:
+        if t not in memo:
+            while len(filled) <= min(t, m * k - 1):
+                for j, w in enumerate(weights):
+                    shifted = newest[j][k - w % k :] + newest[j][: k - w % k]
+                    newest[j] = tuple(map(add, newest[j - 1] if j else (0,) * k, shifted))
+                filled.append(newest[-1])
+            c, e = divmod(t, k)
+            if c < m:
+                memo[t] = filled[t]
+            else:  # The exact integer Lagrange weights on the nodes c = 0..m-1.
+                lagrange = [(-1) ** (m - 1 - i) * comb(c, i) * comb(c - i - 1, m - 1 - i)
+                            for i in range(m)]
+                memo[t] = tuple(sum(map(mul, lagrange, col)) for col in zip(*filled[e::k]))
+        return memo[t]
 
-def _table_cap(degree: int) -> int:
-    """The last row of the cached table that covers rows 0..degree: 2^j >= 16."""
-    cap = 16
-    while cap < degree:
-        cap *= 2
-    return cap
-
-
-def _profile_table(weights: tuple[int, ...], k: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """The cached profile rows for the weight list, covering rows 0..degree.
-
-    With one zero weight appended, row t is the cumulative profile: the
-    sum of the rows 0..t of the weights' own table (a slack coordinate).
-    """
-    return _profile_rows(weights, k, _table_cap(degree))
+    return profile
 
 
 def exponent_profile(space: LensSpace, degree: int) -> tuple[int, ...]:
@@ -114,7 +114,7 @@ def exponent_profile(space: LensSpace, degree: int) -> tuple[int, ...]:
     Entry r is #{alpha >= 0, |alpha| = degree, sum l_i alpha_i = r mod k};
     the entries sum to C(degree + n - 1, n - 1).
     """
-    return _profile_table(space.weights, space.k, degree)[degree]
+    return _profile_rows(space.weights, space.k)(degree)
 
 
 def _correlate_zero(a: tuple[int, ...], b: tuple[int, ...], k: int) -> int:
@@ -125,8 +125,8 @@ def _correlate_zero(a: tuple[int, ...], b: tuple[int, ...], k: int) -> int:
 def dim_invariant_dp(space: LensSpace, p: int, q: int) -> int:
     """Invariant dimension N(p, q) - N(p-1, q-1) by residue-class convolution.
 
-    N(p, q) correlates row p of the profile table of the weights with row q
-    of the table of the negated weights; the second term is absent when
+    N(p, q) correlates profile row p of the weights with profile row q of
+    the negated weights; the second term is absent when
     p = 0 or q = 0.  Multiplying by z_1 zbar_1 maps the (p-1, q-1) pairs
     one-to-one, residue kept, onto the pairs with alpha_1, beta_1 >= 1, so
     this is the alpha_1 = 0 or beta_1 = 0 count of the oracle.
@@ -134,11 +134,11 @@ def dim_invariant_dp(space: LensSpace, p: int, q: int) -> int:
     if p < 0 or q < 0:
         raise ValueError("bidegree components must be nonnegative")
     k, weights = space.k, space.weights
-    alpha = _profile_table(weights, k, p)
-    beta = _profile_table(tuple(-w % k for w in weights), k, q)
-    count = _correlate_zero(alpha[p], beta[q], k)
+    alpha = _profile_rows(weights, k)
+    beta = _profile_rows(tuple(-w % k for w in weights), k)
+    count = _correlate_zero(alpha(p), beta(q), k)
     if p and q:
-        count -= _correlate_zero(alpha[p - 1], beta[q - 1], k)
+        count -= _correlate_zero(alpha(p - 1), beta(q - 1), k)
     return count
 
 
@@ -267,6 +267,6 @@ def dim_invariant(space: LensSpace, p: int, q: int) -> int:
 
 
 def clear_caches() -> None:
-    """Drop the memoized profile and base tables (mainly for tests)."""
+    """Drop the memoized profiles and base tables (mainly for tests)."""
     _profile_rows.cache_clear()
     base_dim_table.cache_clear()

@@ -12,7 +12,8 @@ visits no cell.  The cells q(p + n - 1) <= lam/2 lie under a hyperbola,
 which `_sum_lines`, the one Dirichlet split, cuts into O(sqrt(lam)) rows
 and columns, each summed in closed form: for n = 2 from prefix sums of the
 k x k base table, for n >= 3 as one correlation of a profile row with a
-cumulative profile row, through the difference N(p, q) - N(p-1, q-1).
+cumulative profile row, through the difference N(p, q) - N(p-1, q-1),
+whose profile rows are built one at a time in O(nk) each.
 `counting_grid_size` and the lemma sums of `asymptotics` are line sums
 too.  Tables, counts and comparisons check their work with `core.charge`.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from itertools import accumulate, product
 from math import isqrt
 
@@ -33,8 +34,7 @@ from .core import (
 )
 from .invariant import (
     _correlate_zero,
-    _profile_table,
-    _table_cap,
+    _profile_rows,
     base_dim_table,
     dim_cell,
     dim_invariant,
@@ -150,8 +150,8 @@ def lens_counting(
 def _counts(spaces, lams, budget: int | None) -> list[list[int]]:
     """N_L at each cutoff in `lams`, one list per space.
 
-    Each space's tables are built once.  All the work (`_work`) is charged
-    first; over budget raises ResourceLimit before any table is built.
+    Each space's setup serves every cutoff.  All the work (`_work`) is
+    charged first; over budget raises ResourceLimit before any is done.
     """
     if any(lam < 0 for lam in lams):
         raise ValueError("eigenvalue cutoff must be nonnegative")
@@ -168,15 +168,17 @@ def _work(space: LensSpace, halves: list[int]) -> int:
 
     `_sum_lines` evaluates at most isqrt(half) rows and as many columns
     of two lines.  n = 2: k^2 for the base table's fill, k^2 prefix sums,
-    one per line.  n >= 3, two regions: (n + 1) k per cumulative profile
-    row (`_profile_rows` makes n + 1 passes) and k per line, a correlation.
+    one per line.  n >= 3, two regions: k per correlation, and at most
+    m = (n + 1) k per profile row built.  A cumulative profile fills its
+    m rows t < m and interpolates at most min(lines, largest + 1) more; a
+    plain profile builds its rows 0..isqrt(largest) at most.
     """
     n, k, largest = space.n, space.k, max(halves, default=0)
     lines = sum(3 * isqrt(half) for half in halves)
     if n == 2:  # The fill is charged even when cached, as in `_sieve_work`.
         return 2 * k * k + lines
-    rows = _table_cap(largest - n + 1) + _table_cap(largest // (n - 1)) + 2
-    return (n + 1) * k * rows + 2 * k * lines
+    m = (n + 1) * k
+    return 2 * m * (m + min(lines, largest + 1) + isqrt(largest) + 1) + 2 * k * lines
 
 
 def _sum_lines(half: int, low: int, row, column) -> int:
@@ -230,27 +232,20 @@ def _count_convolution(space: LensSpace, halves: list[int]) -> list[int]:
     dim(p, q) = N(p, q) - N(p-1, q-1) with N = 0 off p, q >= 0.  Over a
     row, N sums to a correlation of a cumulative profile row of the
     weights with a plain row of the negated weights; over a column, the
-    other way round.  Plain rows are differences of cumulative rows.
+    other way round; a zero weight appended makes a profile cumulative.
     """
-    n, k, largest = space.n, space.k, max(halves, default=0)
+    n, k = space.n, space.k
     negated = tuple(-w % k for w in space.weights)
-    cum_a = _profile_table(space.weights + (0,), k, largest - n + 1)
-    cum_b = _profile_table(negated + (0,), k, largest // (n - 1))
-
-    def plain(c):
-        """Row t of the table whose cumulative rows are c, memoized."""
-        return cache(lambda t: [x - y for x, y in zip(c[t], c[t - 1])] if t else c[0])
-
-    # A column takes its plain row at both ends, and a sweep at every cutoff.
-    plain_a, plain_b = plain(cum_a), plain(cum_b)
+    plain_a, plain_b = _profile_rows(space.weights, k), _profile_rows(negated, k)
+    cum_a, cum_b = _profile_rows(space.weights + (0,), k), _profile_rows(negated + (0,), k)
 
     def region(half: int, low: int, shift: int) -> int:
         """Sum of N(v - low, u - shift) over u >= 1, v >= low, u v <= half."""
         return _sum_lines(
             half,
             low,
-            lambda u, t: _correlate_zero(cum_a[t - low], plain_b(u - shift), k),
-            lambda v, t: _correlate_zero(plain_a(v - low), cum_b[t - shift], k),
+            lambda u, t: _correlate_zero(cum_a(t - low), plain_b(u - shift), k),
+            lambda v, t: _correlate_zero(plain_a(v - low), cum_b(t - shift), k),
         )
 
     # (p, q) = (v - n + 1, u) and (p - 1, q - 1) = (v - n, u - 1).

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,16 @@ def test_ratio_decay_decreases():
 
 def test_ratio_decay_n3_small():
     assert lemma_ratio_decay(3, [500])[0] < Fraction(1, 10)
+
+
+def test_ratio_decay_is_budgeted():
+    start = time.perf_counter()
+    (ratio,) = lemma_ratio_decay(3, [10**6])
+    assert time.perf_counter() - start < 1
+    assert 0 < ratio < Fraction(1, 10**4)
+    # The B side counts the sphere under the default budget.
+    with pytest.raises(ResourceLimit):
+        lemma_ratio_decay(3, [10**15])
 
 
 def test_weyl_ratio_trivial_group_is_one():

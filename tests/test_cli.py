@@ -248,7 +248,7 @@ def test_count_budget_refuses_before_any_table(capsys):
 
     clear_caches()
     code, out, err = run(
-        capsys, "count", "--lens", "9:8,5,1", "--lambda-max", "20000000"
+        capsys, "count", "--lens", "9:8,5,1", "--lambda-max", "20000000000"
     )
     assert code == 2 and out == ""
     assert "budget" in err

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kohnspec.core import ResourceLimit, UnsupportedDimension, make_lens_space
 from kohnspec.invariant import (
+    _profile_rows,
     base_dim_table,
     compositions,
     dim_invariant,
@@ -63,6 +64,39 @@ def test_exponent_profile_totals():
         profile = exponent_profile(space, degree)
         assert len(profile) == 5
         assert sum(profile) == comb(degree + 2, 2)
+
+
+def literal_profile_rows(weights, k, cap):
+    """Profile rows 0..cap, each weight a pass of new[t][r] += new[t-1][r-w]."""
+    rows = [[0] * k for _ in range(cap + 1)]
+    rows[0][0] = 1
+    for w in weights:
+        for t in range(1, cap + 1):
+            for r in range(k):
+                rows[t][r] += rows[t - 1][(r - w) % k]
+    return [tuple(row) for row in rows]
+
+
+@st.composite
+def profile_requests(draw):
+    """Weights (0, the slack weight, included) mod k and degrees t <= 4nk."""
+    n, k = draw(st.integers(2, 5)), draw(st.integers(1, 13))
+    weights = tuple(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    degrees = draw(st.lists(st.integers(0, 4 * n * k), min_size=1, max_size=8))
+    return weights, k, degrees
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_requests())
+@example(((0, 0), 1, [8]))
+@example(((1, 2, 0), 7, [0, 84, 20, 21, 63]))
+def test_profile_rows_match_the_plain_fill(request):
+    weights, k, degrees = request
+    literal = literal_profile_rows(weights, k, max(degrees))
+    rows = _profile_rows(weights, k)
+    # Requests in any order: fills below nk, interpolations past it.
+    for t in degrees:
+        assert rows(t) == literal[t], (weights, k, t)
 
 
 def test_dp_matches_bruteforce_small_grid():

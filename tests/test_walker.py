@@ -200,7 +200,7 @@ def test_budget_charges_each_evaluation_before_the_walk(monkeypatch):
     weyl = remainder + 1 + 1 + lines
     weyl_ratio_series(space, 400, 40, budget=weyl)
     remainder_experiment(space, 400, 10, budget=remainder)
-    for name in ("base_dim_table", "_profile_table"):
+    for name in ("base_dim_table", "_profile_rows"):
         monkeypatch.setattr(spectrum, name, lambda *args: calls.append(args))
     with pytest.raises(ResourceLimit):
         weyl_ratio_series(space, 400, 40, budget=weyl - 1)
@@ -210,20 +210,29 @@ def test_budget_charges_each_evaluation_before_the_walk(monkeypatch):
 
 
 def test_count_charges_each_pass_over_the_profile_tables():
-    # (n + 1) k (cap + 1) per cumulative table, caps 2^20 and 2^19, plus
-    # k per correlation: two regions of 3 isqrt(lam/2) line evaluations.
-    charge = 4 * 2 * (2**20 + 1 + 2**19 + 1) + 2 * 2 * 3 * 1000
+    space = make_lens_space(3, 2, [1, 1, 1])
+    # half = 1e14: 3 isqrt(half) line evaluations per region.  Each of the
+    # two cumulative profiles fills m = (n + 1) k rows and interpolates at
+    # most `lines` more, each plain profile builds isqrt(half) + 1 rows,
+    # every row at m; each line evaluation is a correlation of k.
+    m, lines = 8, 3 * 10**7
+    charge = 2 * m * (m + lines) + 2 * m * (10**7 + 1) + 2 * 2 * lines
+    assert spectrum._work(space, [10**14]) == charge
     with pytest.raises(ResourceLimit, match=f"work {charge} exceeds"):
-        lens_counting(make_lens_space(3, 2, [1, 1, 1]), 2_000_000)
+        lens_counting(space, 2 * 10**14)
+    # No table is sized to the cutoff: 2e6 runs under the default budget.
+    start = time.perf_counter()
+    assert lens_counting(space, 2_000_000) == 274156174598330642
+    assert time.perf_counter() - start < 1
 
 
 def test_sweeps_are_charged_under_the_default_budget():
-    # The 12.6M charge of the count above, refused with no budget given.
+    # The count at 2e12 alone is charged far over the default budget.
     space = make_lens_space(3, 2, [1, 1, 1])
     with pytest.raises(ResourceLimit):
-        weyl_ratio_series(space, 2_000_000, 2_000_000)
+        weyl_ratio_series(space, 2 * 10**12, 2 * 10**12)
     with pytest.raises(ResourceLimit):
-        remainder_experiment(space, 2_000_000, 1)
+        remainder_experiment(space, 2 * 10**12, 1)
 
 
 def test_dense_sweep_charges_its_setup_once():
@@ -231,6 +240,12 @@ def test_dense_sweep_charges_its_setup_once():
         make_lens_space(2, 31, [1, 3]), 2000, 2, budget=DEFAULT_BUDGET
     )
     assert len(series) == 1000
+    # n >= 3 pays per profile row built, not per line: (2n + 2) k per
+    # line evaluation would put weyl on L(9;1,2,4) at 4000, stride 2, near 28M.
+    halves = list(range(1, 2001))
+    space = make_lens_space(3, 9, [1, 2, 4])
+    work = spectrum._work(space, halves) + spectrum._work(trivial_group(3), halves)
+    assert work <= DEFAULT_BUDGET
 
 
 @settings(max_examples=60, deadline=None)
