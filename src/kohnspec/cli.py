@@ -105,7 +105,8 @@ def cmd_dim(args) -> int:
 def cmd_spectrum(args) -> int:
     table = spectrum.build_spectrum(args.lens, args.lambda_max, _resolve_budget(args))
     if args.contributors or args.out == "json":
-        _emit_json(spectrum.spectrum_to_json_obj(table, contributors=args.contributors))
+        spectrum.write_json(table, sys.stdout, contributors=args.contributors)
+        sys.stdout.write("\n")
     else:
         sys.stdout.write(spectrum.spectrum_to_csv(table))
     return 0
@@ -305,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="given twice: the two spaces to compare",
     )
     p.add_argument("--lambda-max", type=_cutoff, default=500)
+    p.add_argument("--budget", type=int)
 
     p = add("classify", cmd_classify, help="isometry classes of weight pairs")
     p.add_argument("--k", type=int, required=True)

@@ -5,7 +5,8 @@ the invariant dimensions over all (p, q) with that eigenvalue.  A table up
 to a cutoff is one sieve of multiplicities: a walk over the (p, q) cells
 adds each cell's dimension to its eigenvalue.  A single eigenvalue, and
 its per-(p, q) provenance, is answered by enumerating the divisors of
-lam/2.  k = 1 encodes the sphere.
+lam/2; `write_json` streams a table with its provenance one eigenvalue at
+a time.  k = 1 encodes the sphere.
 
 Every count N_L(lam) comes from `_counts`, at any list of cutoffs, and
 visits no cell.  The cells q(p + n - 1) <= lam/2 lie under a hyperbola,
@@ -19,6 +20,7 @@ too.  Tables, counts and comparisons check their work with `core.charge`.
 """
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from functools import partial
@@ -33,11 +35,12 @@ from .core import (
     gcd_invariant,
 )
 from .invariant import (
+    _closed_form,
     _correlate_zero,
     _profile_rows,
     base_dim_table,
     dim_cell,
-    dim_invariant,
+    dim_invariant_dp,
 )
 from .sphere import _rows
 
@@ -70,7 +73,7 @@ class SpectrumTable:
 
     def contributors(self, lam: int) -> list[Contributor]:
         """The bidegrees of positive dimension that make up lam, by p."""
-        return list(_contributors(self.space, lam))
+        return [Contributor(*cell) for cell in _contributors(self.space, lam)]
 
 
 def _bidegrees_for(lam: int, n: int) -> list[tuple[int, int]]:
@@ -88,17 +91,22 @@ def _bidegrees_for(lam: int, n: int) -> list[tuple[int, int]]:
 
 
 def _contributors(space: LensSpace, lam: int):
-    """Yield the bidegrees of the eigenvalue lam with positive dimension."""
+    """Yield (p, q, dim) for the bidegrees of lam with positive dimension.
+
+    The dimension function is bound once: the n = 2 closed form, which
+    fills no base table, or the convolution for n >= 3.
+    """
     if lam <= 0 or lam % 2 != 0:
         raise InvalidEigenvalue(f"eigenvalues are positive even integers, got {lam}")
+    dim = _closed_form(space) if space.n == 2 else partial(dim_invariant_dp, space)
     for p, q in _bidegrees_for(lam, space.n):
-        if d := dim_invariant(space, p, q):
-            yield Contributor(p, q, d)
+        if d := dim(p, q):
+            yield p, q, d
 
 
 def multiplicity(space: LensSpace, lam: int) -> int:
     """Exact multiplicity of the eigenvalue lam on the lens space."""
-    return sum(c.dim for c in _contributors(space, lam))
+    return sum(d for _, _, d in _contributors(space, lam))
 
 
 def _sieve_work(space: LensSpace, lambda_max: int) -> int:
@@ -163,22 +171,31 @@ def _counts(spaces, lams, budget: int | None) -> list[list[int]]:
     ]
 
 
+# The fixed cost of one pass over a profile row, in units of one entry:
+# with it, k = 2 and k = 9 counts at n = 3 run at about the same time per
+# unit of work charged.
+_ROW_PASS = 6
+
+
 def _work(space: LensSpace, halves: list[int]) -> int:
     """The charge of counting the space at every half-cutoff in `halves`.
 
     `_sum_lines` evaluates at most isqrt(half) rows and as many columns
     of two lines.  n = 2: k^2 for the base table's fill, k^2 prefix sums,
     one per line.  n >= 3, two regions: k per correlation, and at most
-    m = (n + 1) k per profile row built.  A cumulative profile fills its
-    m rows t < m and interpolates at most min(lines, largest + 1) more; a
-    plain profile builds its rows 0..isqrt(largest) at most.
+    (n + 1)(k + _ROW_PASS) per profile row built: n + 1 passes of k
+    entries, each with a fixed cost (tuple building; an interpolated
+    row's two `comb` calls) that dominates at small k.  A cumulative
+    profile fills its m = (n + 1) k rows t < m and interpolates at most
+    min(lines, largest + 1) more; a plain profile builds its rows
+    0..isqrt(largest) at most.
     """
     n, k, largest = space.n, space.k, max(halves, default=0)
     lines = sum(3 * isqrt(half) for half in halves)
     if n == 2:  # The fill is charged even when cached, as in `_sieve_work`.
         return 2 * k * k + lines
-    m = (n + 1) * k
-    return 2 * m * (m + min(lines, largest + 1) + isqrt(largest) + 1) + 2 * k * lines
+    m, row = (n + 1) * k, (n + 1) * (k + _ROW_PASS)
+    return 2 * row * (m + min(lines, largest + 1) + isqrt(largest) + 1) + 2 * k * lines
 
 
 def _sum_lines(half: int, low: int, row, column) -> int:
@@ -267,7 +284,11 @@ def spectrum_to_csv(table: SpectrumTable) -> str:
 
 
 def spectrum_to_json_obj(table: SpectrumTable, contributors: bool = False):
-    """JSON-serializable view of the table, optionally with provenance."""
+    """JSON-serializable view of the table, optionally with provenance.
+
+    It holds every entry at once; `write_json` prints the same document
+    one eigenvalue at a time.
+    """
     rows = []
     for lam, m in table.by_eigenvalue.items():
         row = {"lambda": lam, "multiplicity": m}
@@ -283,5 +304,32 @@ def spectrum_to_json_obj(table: SpectrumTable, contributors: bool = False):
     }
 
 
+_ENTRY = '    {\n      "lambda": %d,\n      "multiplicity": %d'
+_CELL = '        {\n          "p": %d,\n          "q": %d,\n          "dim": %d\n        }'
+
+
+def write_json(table: SpectrumTable, out, contributors: bool = False) -> None:
+    """Write `json.dumps(spectrum_to_json_obj(table, contributors), indent=2)`.
+
+    The indent=2 layout is spelled out here, so the document is streamed
+    one eigenvalue at a time, and provenance costs O(sqrt(lam)) memory
+    per eigenvalue: no whole-table object is built.
+    """
+    out.write('{\n  "lens": %s,\n  "lambda_max": %d,\n  "entries": ['
+              % (json.dumps(str(table.space)), table.lambda_max))
+    sep = "\n"
+    for lam, m in table.by_eigenvalue.items():
+        out.write(sep + _ENTRY % (lam, m))
+        sep = ",\n"
+        if contributors:  # A listed eigenvalue has at least one contributor.
+            cells = [_CELL % cell for cell in _contributors(table.space, lam)]
+            out.write(',\n      "contributors": [\n%s\n      ]' % ",\n".join(cells))
+        out.write("\n    }")
+    out.write("\n  ]\n}" if table.by_eigenvalue else "]\n}")
+
+
 def spectrum_to_json(table: SpectrumTable, contributors: bool = False) -> str:
-    return json.dumps(spectrum_to_json_obj(table, contributors), indent=2)
+    """The text `write_json` writes."""
+    buffer = io.StringIO()
+    write_json(table, buffer, contributors)
+    return buffer.getvalue()

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from kohnspec import spectrum
 from kohnspec.cli import build_parser, main
 from kohnspec.core import DEFAULT_BUDGET, parse_lens_spec
 from kohnspec.invariant import dim_invariant_dp
@@ -67,6 +68,14 @@ def test_spectrum_contributors_json(capsys):
     payload = json.loads(out)
     for entry in payload["entries"]:
         assert entry["multiplicity"] == sum(c["dim"] for c in entry["contributors"])
+
+
+@pytest.mark.parametrize("flag", ["--out=json", "--contributors"])
+def test_spectrum_json_is_the_json_module_layout(capsys, flag):
+    code, out, _ = run(capsys, "spectrum", "--lens", "7:1,3", "--lambda-max", "60", flag)
+    table = spectrum.build_spectrum(parse_lens_spec("7:1,3"), 60)
+    obj = spectrum.spectrum_to_json_obj(table, contributors=flag == "--contributors")
+    assert code == 0 and out == json.dumps(obj, indent=2) + "\n"
 
 
 def test_weyl_csv(capsys):
@@ -300,6 +309,17 @@ def test_isospec_charges_both_sieves_before_either(capsys, monkeypatch):
     code, out, err = run(capsys, *argv[:-1], "100")
     assert code == 2 and out == "" and "budget" in err
     assert calls == []
+
+
+def test_isospec_budget_flag(capsys):
+    argv = ["isospec", "--lens", "7:1,2", "--lens", "7:1,3", "--lambda-max", "100"]
+    code, out, err = run(capsys, *argv, "--budget", "10")
+    assert code == 2 and out == ""
+    # Both sieves: their cells plus 7^2 each for the base tables.
+    work = 2 * (spectrum.counting_grid_size(2, 100) + 49)
+    assert f"work {work} exceeds budget 10" in err
+    code, out, _ = run(capsys, *argv, "--budget", str(work))
+    assert code == 0 and json.loads(out)["spectra_equal"] is False
 
 
 def test_dim_auto_builds_no_base_table(capsys, monkeypatch):

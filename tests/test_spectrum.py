@@ -1,18 +1,23 @@
 import csv
 import io
 import json
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kohnspec.core import InvalidEigenvalue, ResourceLimit, make_lens_space
-from kohnspec.invariant import dim_invariant_bruteforce
+from kohnspec.invariant import base_dim_table, dim_invariant_bruteforce
 from kohnspec.spectrum import (
+    SpectrumTable,
     build_spectrum,
     lens_counting,
     multiplicity,
     multiplicity_table,
     spectrum_to_csv,
     spectrum_to_json,
+    spectrum_to_json_obj,
+    write_json,
 )
 from kohnspec.sphere import dim_hpq, sphere_counting
 
@@ -124,3 +129,40 @@ def test_json_round_trip():
     assert payload["lambda_max"] == 30
     for row in payload["entries"]:
         assert row["multiplicity"] == sum(c["dim"] for c in row["contributors"])
+
+
+@st.composite
+def spaces(draw):
+    n = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(1, 12))
+    units = [u for u in range(1, k + 1) if gcd(u, k) == 1]
+    return make_lens_space(n, k, draw(st.lists(st.sampled_from(units), min_size=n, max_size=n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spaces(), st.integers(0, 60).map(lambda h: 2 * h), st.booleans())
+@example(SPHERE3, 0, False)
+@example(SPHERE3, 0, True)
+@example(make_lens_space(2, 5, [1, 2]), 2, True)  # no eigenvalue 2: no entries
+@example(make_lens_space(3, 5, [1, 2, 3]), 2, False)
+@example(make_lens_space(3, 1, [1, 1, 1]), 40, True)
+def test_streamed_json_is_the_json_module_layout(space, lambda_max, contributors):
+    table = build_spectrum(space, lambda_max)
+    out = io.StringIO()
+    write_json(table, out, contributors)
+    assert out.getvalue() == json.dumps(spectrum_to_json_obj(table, contributors), indent=2)
+
+
+def test_provenance_fills_no_base_table():
+    # A k x k base table at k = 10007 would hold 1e8 entries.
+    space = make_lens_space(2, 10007, [1, 2])
+    table = SpectrumTable(space, 0, {})
+    before = base_dim_table.cache_info().currsize
+    assert table.contributors(2) == [] and multiplicity(space, 2) == 0
+    cells = table.contributors(20014)
+    assert [(c.p, c.q) for c in cells] == [(0, 10007), (10006, 1)]
+    assert [c.dim for c in cells] == [
+        dim_invariant_bruteforce(space, c.p, c.q) for c in cells
+    ] == [2, 1]
+    assert multiplicity(space, 20014) == 3
+    assert base_dim_table.cache_info().currsize == before

@@ -214,9 +214,9 @@ def test_count_charges_each_pass_over_the_profile_tables():
     # half = 1e14: 3 isqrt(half) line evaluations per region.  Each of the
     # two cumulative profiles fills m = (n + 1) k rows and interpolates at
     # most `lines` more, each plain profile builds isqrt(half) + 1 rows,
-    # every row at m; each line evaluation is a correlation of k.
-    m, lines = 8, 3 * 10**7
-    charge = 2 * m * (m + lines) + 2 * m * (10**7 + 1) + 2 * 2 * lines
+    # every row at (n + 1)(k + 6); each line evaluation is a correlation of k.
+    m, row, lines = 8, 32, 3 * 10**7
+    charge = 2 * row * (m + lines) + 2 * row * (10**7 + 1) + 2 * 2 * lines
     assert spectrum._work(space, [10**14]) == charge
     with pytest.raises(ResourceLimit, match=f"work {charge} exceeds"):
         lens_counting(space, 2 * 10**14)
