@@ -200,12 +200,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cmatrix(args) -> int:
-    print(json.dumps(isospectral.c_matrix(args.k, args.lam).rows()))
+    matrix = isospectral.c_matrix(args.k, args.lam, _resolve_budget(args))
+    print(json.dumps(matrix.rows()))
     return 0
 
 
 def cmd_span(args) -> int:
-    rank = isospectral.span_dimension(args.k, range(2, args.lambda_max + 1, 2))
+    rank = isospectral.span_dimension(
+        args.k, range(2, args.lambda_max + 1, 2), _resolve_budget(args)
+    )
     print(rank)
     k = args.k
     if _is_prime(k) and rank < k * (k + 1) // 2:
@@ -314,10 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cmatrix", cmd_cmatrix, help="residue-count matrix of one eigenvalue")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=_cutoff, required=True)
+    p.add_argument("--budget", type=int)
 
     p = add("span", cmd_span, help="rank of the residue-count matrices")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lambda-max", type=_cutoff, required=True)
+    p.add_argument("--budget", type=int)
 
     p = add("genfunc-check", cmd_genfunc_check, help="closed form vs series deviation")
     p.add_argument("--lens", type=_lens, required=True)

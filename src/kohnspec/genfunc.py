@@ -12,8 +12,7 @@ import cmath
 import math
 import random
 from functools import lru_cache
-
-import numpy as np
+from itertools import product
 
 from .core import DomainViolation, InsufficientSamples, InvalidOrder, LensSpace
 from .invariant import dim_invariant_dp
@@ -110,7 +109,8 @@ def independence_probe(k: int, sample_points) -> int:
 
     The functions are 1/((z - zeta^l)(w - zeta^-l)(z - zeta^m)(w - zeta^-m))
     for 0 <= l <= m <= k-1; full rank k(k+1)/2 reflects their linear
-    independence.  Rank counts singular values above 1e-8 of the largest.
+    independence.  Rank counts the pivots of a full-pivoting elimination
+    above 1e-8 of the first (largest) one.
     """
     if k < 2:
         raise InvalidOrder(f"independence probe needs k >= 2, got {k}")
@@ -122,19 +122,46 @@ def independence_probe(k: int, sample_points) -> int:
         )
     zetas = [cmath.exp(2j * math.pi * j / k) for j in range(k)]
     pairs = [(l, m) for l in range(k) for m in range(l, k)]
-    matrix = np.empty((len(points), len(pairs)), dtype=complex)
-    for i, (z, w) in enumerate(points):
-        for j, (l, m) in enumerate(pairs):
-            matrix[i, j] = 1.0 / (
+    matrix = [
+        [
+            1.0
+            / (
                 (z - zetas[l])
                 * (w - zetas[l].conjugate())
                 * (z - zetas[m])
                 * (w - zetas[m].conjugate())
             )
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    if singular.size == 0 or singular[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(singular > 1e-8 * singular[0]))
+            for l, m in pairs
+        ]
+        for z, w in points
+    ]
+    return _numerical_rank(matrix)
+
+
+def _numerical_rank(matrix: list[list[complex]]) -> int:
+    """Pivots above 1e-8 of the first, by full-pivoting elimination.
+
+    Each step pivots on the entry of largest modulus left, so the first
+    pivot is the largest entry, and removes its row and column.  The
+    matrix is consumed.
+    """
+    rank, largest = 0, 0.0
+    while matrix and matrix[0]:
+        i, j = max(
+            product(range(len(matrix)), range(len(matrix[0]))),
+            key=lambda ij: abs(matrix[ij[0]][ij[1]]),
+        )
+        pivot_row = matrix.pop(i)
+        pivot = pivot_row.pop(j)
+        largest = largest or abs(pivot)
+        if abs(pivot) <= 1e-8 * largest:
+            break
+        rank += 1
+        for row in matrix:
+            factor = row.pop(j) / pivot
+            for col, x in enumerate(pivot_row):
+                row[col] -= factor * x
+    return rank
 
 
 def max_deviation(

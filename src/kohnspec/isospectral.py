@@ -143,15 +143,37 @@ class CMatrix:
         return [list(row) for row in self.entries]
 
 
-def c_matrix(k: int, lam: int) -> CMatrix:
-    """Build C^lam by enumerating divisors q of lam/2 (with p + 1 = (lam/2)/q)."""
+def _check_c(k: int, lam: int) -> None:
+    """Reject an order k < 2 or an eigenvalue that is not positive and even."""
     if k < 2:
         raise InvalidOrder(f"residue-count matrix needs k >= 2, got {k}")
     if lam < 2 or lam % 2 != 0:
         raise InvalidEigenvalue(f"eigenvalues are positive even integers, got {lam}")
-    entries = [[0] * k for _ in range(k)]
+
+
+def _residue_counts(k: int, lam: int) -> dict[int, int]:
+    """The nonzero entries of C^lam, keyed by (p mod k) k + (q mod k).
+
+    One divisor enumeration of lam/2, so at most d(lam/2) entries.
+    """
+    counts: dict[int, int] = {}
     for p, q in _bidegrees_for(lam, 2):
-        entries[p % k][q % k] += 1
+        cell = p % k * k + q % k
+        counts[cell] = counts.get(cell, 0) + 1
+    return counts
+
+
+def c_matrix(k: int, lam: int, budget: int | None = DEFAULT_BUDGET) -> CMatrix:
+    """Build C^lam densely from its residue counts.
+
+    Charged k^2 entries plus isqrt(lam/2) trial divisions before the
+    matrix is allocated.
+    """
+    _check_c(k, lam)
+    charge(k * k + math.isqrt(lam // 2), budget)
+    entries = [[0] * k for _ in range(k)]
+    for cell, count in _residue_counts(k, lam).items():
+        entries[cell // k][cell % k] = count
     return CMatrix(k=k, lam=lam, entries=tuple(tuple(row) for row in entries))
 
 
@@ -171,40 +193,67 @@ def t_inverse(matrix) -> list[list[int]]:
     return [list(matrix[(i - 1) % size]) for i in range(size)]
 
 
-def _integer_rank(vectors) -> int:
-    """Rank over Q of integer vectors, by fraction-free elimination.
+def _integer_rank(rows) -> int:
+    """Rank over Q of sparse integer rows {column: nonzero entry}.
 
-    Keeps a gcd-normalized echelon basis keyed by pivot column; each new
-    vector is cross-multiplied against existing pivots, so no rationals
-    ever appear.
+    Fraction-free elimination on the nonzeros alone: an echelon basis is
+    kept keyed by pivot, each row's smallest column, every basis row
+    divided by its content and with a positive pivot.  A new row meeting
+    a basis row b at its pivot becomes (b/g) row - (r/g) b, where b and r
+    are the two pivot entries and g = gcd(b, r), until it vanishes or
+    brings a pivot of its own; no rationals ever appear.
     """
-    basis: dict[int, list[int]] = {}
-    for vec in vectors:
-        row = list(vec)
-        while True:
-            pivot = next((i for i, x in enumerate(row) if x), None)
-            if pivot is None:
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            pivot = min(row)
+            b = basis.get(pivot)
+            if b is None:
+                g = math.gcd(*row.values())
+                if row[pivot] < 0:
+                    g = -g
+                basis[pivot] = {col: x // g for col, x in row.items()}
                 break
-            if pivot in basis:
-                b = basis[pivot]
-                lead_b, lead_r = b[pivot], row[pivot]
-                row = [lead_b * x - lead_r * y for x, y in zip(row, b)]
-                continue
-            g = math.gcd(*row)
-            if row[pivot] < 0:
-                g = -g
-            basis[pivot] = [x // g for x in row]
-            break
+            g = math.gcd(b[pivot], row[pivot])
+            scale, factor = b[pivot] // g, row[pivot] // g
+            if scale != 1:
+                row = {col: scale * x for col, x in row.items()}
+            for col, y in b.items():
+                if x := row.get(col, 0) - factor * y:
+                    row[col] = x
+                else:
+                    del row[col]
     return len(basis)
 
 
-def span_dimension(k: int, lambdas) -> int:
+# The price of one trial division of lam/2 in `span_dimension`, in units:
+# one for the division, three for eliminating what it finds.  Elimination
+# did at most 2.5 entry updates per trial division on the ranges measured
+# (k <= 211, prime and composite, lam up to 2e5).
+_SPAN_UNIT = 4
+
+
+def span_dimension(k: int, lambdas, budget: int | None = DEFAULT_BUDGET) -> int:
     """Rational rank of the set of C^lam matrices viewed as k^2-vectors.
 
     For prime k the span is the shifted symmetric matrices, so the rank
-    tops out at k(k+1)/2 once enough eigenvalues are included.
+    tops out at k(k+1)/2 once enough eigenvalues are included.  Each C^lam
+    enters the elimination as its residue counts; no k x k matrix is built.
+    The divisor searches, isqrt(lam/2) trial divisions each, and the
+    elimination are charged `_SPAN_UNIT` per trial division before any
+    work.  The pricing pass stops at the first eigenvalue that takes the
+    work past the budget, so it keeps at most budget / 4 of them.
     """
-    return _integer_rank(c_matrix(k, lam).as_vector() for lam in lambdas)
+    kept, work = [], 0
+    for lam in lambdas:
+        _check_c(k, lam)
+        kept.append(lam)
+        work += _SPAN_UNIT * math.isqrt(lam // 2)
+        if budget is not None and work > budget:
+            break
+    charge(work, budget)
+    return _integer_rank(_residue_counts(k, lam) for lam in kept)
 
 
 def classify_all(k: int) -> dict[tuple[int, int], list[tuple[int, int]]]:

@@ -73,7 +73,8 @@ class SpectrumTable:
 
     def contributors(self, lam: int) -> list[Contributor]:
         """The bidegrees of positive dimension that make up lam, by p."""
-        return [Contributor(*cell) for cell in _contributors(self.space, lam)]
+        cells = _contributors(self.space, lam, _dimension(self.space))
+        return [Contributor(*cell) for cell in cells]
 
 
 def _bidegrees_for(lam: int, n: int) -> list[tuple[int, int]]:
@@ -90,15 +91,23 @@ def _bidegrees_for(lam: int, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _contributors(space: LensSpace, lam: int):
+def _dimension(space: LensSpace):
+    """The space's dim(p, q), bound once.
+
+    The n = 2 closed form, which fills no base table, or the convolution
+    for n >= 3.
+    """
+    return _closed_form(space) if space.n == 2 else partial(dim_invariant_dp, space)
+
+
+def _contributors(space: LensSpace, lam: int, dim):
     """Yield (p, q, dim) for the bidegrees of lam with positive dimension.
 
-    The dimension function is bound once: the n = 2 closed form, which
-    fills no base table, or the convolution for n >= 3.
+    `dim` is `_dimension(space)`, which a caller asking about many
+    eigenvalues binds once.
     """
     if lam <= 0 or lam % 2 != 0:
         raise InvalidEigenvalue(f"eigenvalues are positive even integers, got {lam}")
-    dim = _closed_form(space) if space.n == 2 else partial(dim_invariant_dp, space)
     for p, q in _bidegrees_for(lam, space.n):
         if d := dim(p, q):
             yield p, q, d
@@ -106,7 +115,7 @@ def _contributors(space: LensSpace, lam: int):
 
 def multiplicity(space: LensSpace, lam: int) -> int:
     """Exact multiplicity of the eigenvalue lam on the lens space."""
-    return sum(d for _, _, d in _contributors(space, lam))
+    return sum(d for _, _, d in _contributors(space, lam, _dimension(space)))
 
 
 def _sieve_work(space: LensSpace, lambda_max: int) -> int:
@@ -317,12 +326,12 @@ def write_json(table: SpectrumTable, out, contributors: bool = False) -> None:
     """
     out.write('{\n  "lens": %s,\n  "lambda_max": %d,\n  "entries": ['
               % (json.dumps(str(table.space)), table.lambda_max))
-    sep = "\n"
+    sep, dim = "\n", _dimension(table.space)
     for lam, m in table.by_eigenvalue.items():
         out.write(sep + _ENTRY % (lam, m))
         sep = ",\n"
         if contributors:  # A listed eigenvalue has at least one contributor.
-            cells = [_CELL % cell for cell in _contributors(table.space, lam)]
+            cells = [_CELL % cell for cell in _contributors(table.space, lam, dim)]
             out.write(',\n      "contributors": [\n%s\n      ]' % ",\n".join(cells))
         out.write("\n    }")
     out.write("\n  ]\n}" if table.by_eigenvalue else "]\n}")

@@ -2,7 +2,12 @@ import csv
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -401,3 +406,64 @@ def test_isospec_needs_two_spaces():
     with pytest.raises(SystemExit) as excinfo:
         main(["isospec", "--lens", "5:1,2"])
     assert excinfo.value.code == 2
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_process(*argv, memory=512 * 2**20):
+    """Run the CLI in a child process whose address space is capped."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kohnspec.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=cap,
+        timeout=20,
+    )
+    return proc, time.perf_counter() - start
+
+
+def test_span_over_the_default_budget_exits_2_at_once():
+    proc, elapsed = run_process("span", "--k", "211", "--lambda-max", "1000000")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds budget 10000000" in proc.stderr
+    assert elapsed < 1.0
+    # 5e11 eigenvalues: refused without listing them all.
+    proc, elapsed = run_process("span", "--k", "3", "--lambda-max", str(10**12))
+    assert proc.returncode == 2 and "exceeds budget 10000000" in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_cmatrix_over_budget_allocates_nothing():
+    # Without the charge, the k x k matrix would exhaust the capped memory.
+    proc, elapsed = run_process("cmatrix", "--k", "100000", "--lambda", "2", "--budget", "1000")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "work 10000000001 exceeds budget 1000" in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_span_and_cmatrix_budget_flags(capsys):
+    code, out, err = run(capsys, "span", "--k", "5", "--lambda-max", "150", "--budget", "10")
+    assert code == 2 and out == "" and "exceeds budget 10" in err
+    code, out, _ = run(capsys, "span", "--k", "5", "--lambda-max", "150")
+    assert code == 0 and out == "15\n"
+    code, out, err = run(capsys, "cmatrix", "--k", "3", "--lambda", "6", "--budget", "9")
+    assert code == 2 and out == "" and "work 10 exceeds budget 9" in err
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, kohnspec.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=20,
+    )
+    assert proc.stdout == "False\n", proc.stderr

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import permutations, product
 from math import isqrt
 
@@ -7,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from kohnspec.core import (
     InvalidEigenvalue,
+    InvalidOrder,
     MismatchedSpaces,
+    ResourceLimit,
     UnsupportedDimension,
     make_lens_space,
 )
@@ -184,6 +187,65 @@ def test_span_never_exceeds_symmetric_dimension():
     for k in (3, 4, 5, 6, 7):
         rank = span_dimension(k, range(2, 401, 2))
         assert rank <= k * (k + 1) // 2
+
+
+def dense_rank(vectors):
+    """Rank over Q by Gaussian elimination on Fraction rows."""
+    rows = [[Fraction(x) for x in vec] for vec in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 9),
+    st.lists(st.integers(1, 600).map(lambda h: 2 * h), max_size=25),
+    st.data(),
+)
+def test_span_matches_a_dense_fraction_rank(k, lambdas, data):
+    # Non-contiguous lists, with repeats: duplicate some entries.
+    lambdas += data.draw(st.lists(st.sampled_from(lambdas), max_size=5)) if lambdas else []
+    expected = dense_rank([c_matrix(k, lam).as_vector() for lam in lambdas])
+    assert span_dimension(k, lambdas) == expected
+
+
+def test_span_reaches_k_41():
+    assert span_dimension(41, range(2, 8406, 2)) == 41 * 42 // 2
+
+
+def test_span_builds_no_dense_matrix(monkeypatch):
+    from kohnspec import isospectral
+
+    monkeypatch.setattr(isospectral, "c_matrix", None)
+    monkeypatch.setattr(isospectral.CMatrix, "__init__", None)
+    assert span_dimension(7, range(2, 400, 2)) == 28
+
+
+def test_span_validates_and_charges_before_any_work():
+    assert span_dimension(1, []) == 0
+    with pytest.raises(InvalidOrder):
+        span_dimension(1, [2])
+    with pytest.raises(InvalidEigenvalue):
+        span_dimension(3, [2, 4, 7])
+    work = 4 * sum(isqrt(lam // 2) for lam in range(2, 101, 2))
+    with pytest.raises(ResourceLimit, match=f"work {work} exceeds budget {work - 1}"):
+        span_dimension(3, range(2, 101, 2), budget=work - 1)
+    assert span_dimension(3, range(2, 101, 2), budget=work) == 6
+
+
+def test_c_matrix_charges_its_entries():
+    with pytest.raises(ResourceLimit, match="work 10 exceeds budget 9"):
+        c_matrix(3, 2, budget=9)
+    assert c_matrix(3, 2, budget=10).rows() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
 
 
 def test_classify_small_orders():

@@ -166,3 +166,14 @@ def test_provenance_fills_no_base_table():
     ] == [2, 1]
     assert multiplicity(space, 20014) == 3
     assert base_dim_table.cache_info().currsize == before
+
+
+def test_provenance_binds_the_dimension_once_per_table(monkeypatch):
+    from kohnspec import spectrum
+
+    calls = []
+    bind = spectrum._dimension
+    monkeypatch.setattr(spectrum, "_dimension", lambda space: calls.append(space) or bind(space))
+    table = build_spectrum(make_lens_space(2, 9, [1, 8]), 400)
+    assert len(spectrum_to_json(table, contributors=True)) > 0
+    assert len(calls) == 1 and len(table.by_eigenvalue) > 100
