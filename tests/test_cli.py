@@ -411,11 +411,11 @@ def test_isospec_needs_two_spaces():
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_process(*argv, memory=512 * 2**20):
-    """Run the CLI in a child process whose address space is capped."""
+def run_process(*argv):
+    """Run the CLI in a child process whose address space is capped at 512 MB."""
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
 
     start = time.perf_counter()
     proc = subprocess.run(
