@@ -84,7 +84,8 @@ def spectra_equal_up_to(
     if space.n != other.n:
         raise MismatchedSpaces("spectral comparison needs equal n")
     charge(_sieve_work(space, lambda_max) + _sieve_work(other, lambda_max), budget)
-    return multiplicity_table(space, lambda_max) == multiplicity_table(other, lambda_max)
+    tables = [multiplicity_table(x, lambda_max, budget=None) for x in (space, other)]
+    return tables[0] == tables[1]
 
 
 def dims_equal(space: LensSpace, other: LensSpace, p_max: int, q_max: int) -> bool:
@@ -143,10 +144,14 @@ class CMatrix:
         return [list(row) for row in self.entries]
 
 
-def _check_c(k: int, lam: int) -> None:
-    """Reject an order k < 2 or an eigenvalue that is not positive and even."""
+def _check_order(k: int) -> None:
+    """Reject an order k < 2."""
     if k < 2:
         raise InvalidOrder(f"residue-count matrix needs k >= 2, got {k}")
+
+
+def _check_eigenvalue(lam: int) -> None:
+    """Reject an eigenvalue that is not positive and even."""
     if lam < 2 or lam % 2 != 0:
         raise InvalidEigenvalue(f"eigenvalues are positive even integers, got {lam}")
 
@@ -169,7 +174,8 @@ def c_matrix(k: int, lam: int, budget: int | None = DEFAULT_BUDGET) -> CMatrix:
     Charged k^2 entries plus isqrt(lam/2) trial divisions before the
     matrix is allocated.
     """
-    _check_c(k, lam)
+    _check_order(k)
+    _check_eigenvalue(lam)
     charge(k * k + math.isqrt(lam // 2), budget)
     entries = [[0] * k for _ in range(k)]
     for cell, count in _residue_counts(k, lam).items():
@@ -243,11 +249,13 @@ def span_dimension(k: int, lambdas, budget: int | None = DEFAULT_BUDGET) -> int:
     The divisor searches, isqrt(lam/2) trial divisions each, and the
     elimination are charged `_SPAN_UNIT` per trial division before any
     work.  The pricing pass stops at the first eigenvalue that takes the
-    work past the budget, so it keeps at most budget / 4 of them.
+    work past the budget, so it keeps at most budget / 4 of them.  An
+    order k < 2 raises InvalidOrder, also when there is no eigenvalue.
     """
+    _check_order(k)
     kept, work = [], 0
     for lam in lambdas:
-        _check_c(k, lam)
+        _check_eigenvalue(lam)
         kept.append(lam)
         work += _SPAN_UNIT * math.isqrt(lam // 2)
         if budget is not None and work > budget:

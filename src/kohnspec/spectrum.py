@@ -2,11 +2,13 @@
 
 Eigenvalues are even integers 2q(p + n - 1); the multiplicity of lam sums
 the invariant dimensions over all (p, q) with that eigenvalue.  A table up
-to a cutoff is one sieve of multiplicities: a walk over the (p, q) cells
-adds each cell's dimension to its eigenvalue.  A single eigenvalue, and
-its per-(p, q) provenance, is answered by enumerating the divisors of
-lam/2; `write_json` streams a table with its provenance one eigenvalue at
-a time.  k = 1 encodes the sphere.
+to a cutoff is one sieve of multiplicities, one pass over the O(sqrt(lam))
+lines of the hyperbola split below.  The eigenvalues along a line are
+evenly spaced, so each line is one strided slice add; for n = 2 its
+dimensions come from slices of the base table and make no call per cell.
+A single eigenvalue, and its per-(p, q) provenance, is answered by
+enumerating the divisors of lam/2; `write_json` streams a table with its
+provenance one eigenvalue at a time.  k = 1 encodes the sphere.
 
 Every count N_L(lam) comes from `_counts`, at any list of cutoffs, and
 visits no cell.  The cells q(p + n - 1) <= lam/2 lie under a hyperbola,
@@ -24,8 +26,9 @@ import io
 import json
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, product
+from itertools import accumulate, chain, cycle, islice, repeat
 from math import isqrt
+from operator import add
 
 from .core import (
     DEFAULT_BUDGET,
@@ -42,7 +45,6 @@ from .invariant import (
     dim_cell,
     dim_invariant_dp,
 )
-from .sphere import _rows
 
 
 @dataclass(frozen=True)
@@ -126,13 +128,61 @@ def _sieve_work(space: LensSpace, lambda_max: int) -> int:
 
 
 def _sieve(space: LensSpace, lambda_max: int) -> dict[int, int]:
-    """Eigenvalue -> multiplicity (positive entries only), in one cell walk."""
-    by_half = [0] * (lambda_max // 2 + 1)
-    cell = dim_cell(space)
-    for ps, top in _rows(space.n, lambda_max):
-        for p, q in product(ps, range(1, top + 1)):
-            by_half[q * (p + space.n - 1)] += cell(p, q)
-    return {2 * half: m for half, m in enumerate(by_half) if m}
+    """Eigenvalue -> multiplicity (positive entries only), line by line.
+
+    The cells q(p + n - 1) <= lam/2 are cut as in `_sum_lines`: the rows
+    q <= s = isqrt(lam/2), and over q > s the columns p + n - 1 <= s.
+    dim(p, q) = dim(q, p), as conjugation maps the invariants of bidegree
+    (p, q) onto those of (q, p), so every line is a run of one coordinate
+    m with the other, f, fixed.  Its admissible cells are evenly spaced,
+    and so are their eigenvalues: a line is one strided slice add.
+    """
+    if lambda_max < 2:  # The least eigenvalue is 2.
+        return {}
+    n, half = space.n, lambda_max // 2
+    s = isqrt(half)
+    by_half = [0] * (half + 1)
+    step, dims = _line_dims(space, half)
+    # Row q = f: p = m = 0..half // f - n + 1 at index f (m + n - 1).
+    # Column p = f = v - n + 1: q = m = s + 1..half // v at index v m.
+    rows = ((u, 0, half // u - n + 1, u, n - 1) for u in range(1, s + 1))
+    columns = ((v - n + 1, s + 1, half // v, v, 0) for v in range(n - 1, s + 1))
+    for f, low, top, width, shift in chain(rows, columns):
+        ms = range(low + (f - low) % step, top + 1, step)
+        line = slice(width * (ms.start + shift), width * (top + shift) + 1, width * step)
+        by_half[line] = map(add, by_half[line], dims(f, ms))
+    return {2 * h: m for h, m in enumerate(by_half) if m}
+
+
+def _line_dims(space: LensSpace, half: int):
+    """(step, dims): dims(f, ms) yields dim(f, m) for m in the range ms.
+
+    dim(f, m) > 0 only for every step-th m, and each range ms given
+    starts at such an m.  n >= 3: step 1 and one `dim_cell` call per m.
+    n = 2: dim vanishes off d | f - m, d = gcd(k, l_1 - l_2), so the step
+    is d; at m = f mod d + d j, as in `dim_cell`,
+    dim = base[f mod k][m mod k] + d floor(f/k) + d floor(j/period),
+    period = k/d.  The base part repeats with that period: a slice of
+    base row f mod k, cycled.  The floor part is a slice of one list
+    floors[i] = d floor(i/period), at offset j + period floor(f/k); a
+    line has m <= half and f <= isqrt(half), which bounds the list.
+    """
+    if space.n != 2:
+        cell = dim_cell(space)
+        return 1, lambda f, ms: map(cell, repeat(f), ms)
+    k, d = space.k, gcd_invariant(space)
+    period, base = k // d, base_dim_table(space)
+    # Each multiple of d, period times: at least (half + isqrt(half)) / d + 1.
+    blocks = range(0, d * ((half + isqrt(half)) // k + 1), d)
+    floors = list(chain.from_iterable(map(repeat, blocks, repeat(period))))
+
+    def dims(f: int, ms: range):
+        j, count = ms.start // d, len(ms)
+        start, offset = j % period, j + period * (f // k)
+        pattern = islice(cycle(base[f % k][f % d :: d]), start, start + count)
+        return map(add, pattern, floors[offset : offset + count])
+
+    return d, dims
 
 
 def build_spectrum(
@@ -149,8 +199,14 @@ def build_spectrum(
     return SpectrumTable(space, lambda_max, _sieve(space, lambda_max))
 
 
-def multiplicity_table(space: LensSpace, lambda_max: int) -> dict[int, int]:
-    """Map of eigenvalue -> multiplicity (positive entries only)."""
+def multiplicity_table(
+    space: LensSpace, lambda_max: int, budget: int | None = DEFAULT_BUDGET
+) -> dict[int, int]:
+    """Map of eigenvalue -> multiplicity (positive entries only).
+
+    Charged as `build_spectrum`; over budget raises ResourceLimit first.
+    """
+    charge(_sieve_work(space, lambda_max), budget)
     return _sieve(space, lambda_max)
 
 

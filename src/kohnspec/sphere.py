@@ -3,8 +3,9 @@
 The eigenspaces of the Kohn Laplacian on the sphere are the bigraded
 harmonic spaces indexed by (p, q), of eigenvalue 2q(p + n - 1); the
 kernel (q = 0) is excluded from all counting.  The cell walker `_rows`
-serves only the spectrum sieve and the `sphere_counting` oracle; counts,
-the grid size and the lemma sums are line sums (`spectrum._sum_lines`).
+serves only the `sphere_counting` oracle; counts, the grid size and the
+lemma sums are line sums (`spectrum._sum_lines`), and the spectrum sieve
+adds one line at a time over the same split.
 """
 from __future__ import annotations
 

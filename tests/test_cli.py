@@ -167,6 +167,13 @@ def test_span_subcommand(capsys):
     assert out.strip() == "6"
 
 
+def test_span_rejects_an_order_below_2(capsys):
+    for k in ("0", "-7", "1"):
+        code, out, err = run(capsys, "span", "--k", k, "--lambda-max", "0")
+        assert code == 2 and out == ""
+        assert f"needs k >= 2, got {k}" in err
+
+
 def test_span_flags_deficient_prime_rank(capsys):
     # only lambda = 2 available: rank 1 < 6
     code, out, err = run(capsys, "span", "--k", "3", "--lambda-max", "2")
@@ -285,10 +292,12 @@ def test_count_charges_the_base_table_fill_before_it(capsys, monkeypatch):
 
 
 def test_spectrum_charges_the_base_table_fill_before_it(capsys, monkeypatch):
-    from kohnspec import invariant
+    from kohnspec import invariant, spectrum
 
     calls = []
-    monkeypatch.setattr(invariant, "base_dim_table", lambda *args: calls.append(args))
+    # The sieve reaches the table through the name spectrum imports.
+    for module in (invariant, spectrum):
+        monkeypatch.setattr(module, "base_dim_table", lambda *args: calls.append(args))
     argv = ["spectrum", "--lens", "4099:1,2", "--lambda-max", "4"]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -300,7 +309,9 @@ def test_isospec_charges_both_sieves_before_either(capsys, monkeypatch):
     from kohnspec import spectrum
 
     calls = []
-    monkeypatch.setattr(spectrum, "dim_cell", lambda *args: calls.append(args))
+    # What an n = 2 sieve builds first, and what any other one calls.
+    for name in ("base_dim_table", "dim_cell"):
+        monkeypatch.setattr(spectrum, name, lambda *args: calls.append(args))
     argv = ["isospec", "--lens", "7:1,2", "--lens", "7:1,3", "--lambda-max", "2000000"]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)

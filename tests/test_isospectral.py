@@ -231,7 +231,9 @@ def test_span_builds_no_dense_matrix(monkeypatch):
 
 
 def test_span_validates_and_charges_before_any_work():
-    assert span_dimension(1, []) == 0
+    for k in (1, 0, -7):  # With no eigenvalue to check, too.
+        with pytest.raises(InvalidOrder):
+            span_dimension(k, [])
     with pytest.raises(InvalidOrder):
         span_dimension(1, [2])
     with pytest.raises(InvalidEigenvalue):

@@ -1,10 +1,11 @@
 """Property tests of the (p, q) cell walker and of the hyperbola line sums.
 
 The walker sums over the cells q >= 1, 2q(p + n - 1) <= lam under one
-cutoff; it serves the spectrum sieve and the `sphere_counting` oracle.
-Its results are compared with divisor enumeration (`multiplicity`) and
+cutoff; it serves the `sphere_counting` oracle.  Its results are compared
 with literal scans of the (p, q) rectangle.  The walker in turn is the
-oracle for the closed-form counts of `spectrum._counts`, which serve
+oracle for the spectrum sieve, which adds whole lines of the hyperbola
+split, and whose tables are also compared with divisor enumeration
+(`multiplicity`); and for the closed-form counts of `spectrum._counts`, which serve
 `count`, `weyl` and `remainder`.  Those counts, `counting_grid_size` and
 the lemma sums all go through `spectrum._sum_lines`, which is checked
 against a scan of every cell.  Every budget is charged before any work.
@@ -25,7 +26,7 @@ from kohnspec.asymptotics import (
     weyl_ratio_series,
 )
 from kohnspec.core import DEFAULT_BUDGET, ResourceLimit, make_lens_space
-from kohnspec.invariant import dim_invariant
+from kohnspec.invariant import dim_cell, dim_invariant
 from kohnspec.isospectral import c_matrix, spectra_equal_up_to
 from kohnspec.spectrum import (
     _counts,
@@ -36,7 +37,7 @@ from kohnspec.spectrum import (
     multiplicity,
     multiplicity_table,
 )
-from kohnspec.sphere import _fold, dim_hpq, sphere_counting
+from kohnspec.sphere import _fold, _rows, dim_hpq, sphere_counting
 
 
 @st.composite
@@ -114,6 +115,42 @@ def test_sieve_tables_match_divisor_enumeration(space, lam):
         assert all(d > 0 for d in dims) and sum(dims) == by_divisors.get(m, 0)
 
 
+def walked_table(space, lambda_max):
+    """The eigenvalue table by a walk that evaluates every cell."""
+    by_half = [0] * (lambda_max // 2 + 1)
+    cell = dim_cell(space)
+    for ps, top in _rows(space.n, lambda_max):
+        for p in ps:
+            for q in range(1, top + 1):
+                by_half[q * (p + space.n - 1)] += cell(p, q)
+    return {2 * half: m for half, m in enumerate(by_half) if m}
+
+
+@settings(max_examples=40, deadline=None)
+@given(lens_spaces(k_max=40), st.integers(0, 3000))
+@example(make_lens_space(2, 12, [5, 5]), 3000)  # d = k: equal weights
+@example(make_lens_space(2, 30, [1, 7]), 2999)  # d = 6 divides l_1 - l_2 and k
+@example(make_lens_space(2, 40, [3, 23]), 2002)  # d = 20
+@example(make_lens_space(2, 1, [1, 1]), 2001)  # the sphere
+@example(make_lens_space(3, 1, [1, 1, 1]), 3000)
+@example(make_lens_space(3, 40, [1, 9, 31]), 1201)
+@example(make_lens_space(2, 7, [1, 3]), 0)
+@example(make_lens_space(2, 7, [1, 3]), 1)
+@example(make_lens_space(2, 7, [1, 3]), 2)
+@example(make_lens_space(3, 5, [1, 2, 4]), 3)
+def test_line_sieve_matches_a_walk_over_every_cell(space, lam):
+    assert multiplicity_table(space, lam) == walked_table(space, lam)
+
+
+def test_n2_sieve_calls_no_dim_cell(monkeypatch):
+    space = make_lens_space(2, 30, [1, 7])
+    expected = walked_table(space, 3000)
+    calls = []
+    monkeypatch.setattr(spectrum, "dim_cell", lambda *args: calls.append(args))
+    assert build_spectrum(space, 3000).multiplicities() == expected
+    assert calls == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3]), even_cutoffs)
 def test_grid_size_and_ratio_decay_match_rectangle_scans(n, cutoffs):
@@ -180,6 +217,7 @@ def test_budget_charges_each_evaluation_before_the_walk(monkeypatch):
     # The cells plus k^2 for the n = 2 base table.
     work = counting_grid_size(2, 400) + 9
     build_spectrum(space, 400, budget=work)
+    multiplicity_table(space, 400, budget=work)
     other = make_lens_space(2, 3, [1, 1])
     # Two sieves, each charged as above, together.
     assert spectra_equal_up_to(space, other, 400, budget=2 * work) is False
@@ -187,11 +225,16 @@ def test_budget_charges_each_evaluation_before_the_walk(monkeypatch):
     monkeypatch.setattr(
         spectrum, "dim_cell", lambda space: lambda *args: calls.append(args)
     )
+    # An n = 2 sieve builds the base table first and calls no `dim_cell`.
+    monkeypatch.setattr(spectrum, "base_dim_table", lambda *args: calls.append(args))
     with pytest.raises(ResourceLimit):
         build_spectrum(space, 400, budget=work - 1)
     with pytest.raises(ResourceLimit):
+        multiplicity_table(space, 400, budget=work - 1)
+    with pytest.raises(ResourceLimit):
         spectra_equal_up_to(space, other, 400, budget=2 * work - 1)
     assert calls == []
+    monkeypatch.undo()
     # n = 2 setup: k^2 for the base table's fill, k^2 prefix sums; both
     # are 1 for the sphere.  Each cutoff: isqrt(lam/2) rows, as many
     # columns, two line evaluations per column.
