@@ -2,9 +2,10 @@
 
 The closed form averages rational terms over the group: (1/k) times the
 sum over m of (1 - zw) / prod_i (1 - zeta^(m l_i) z)(1 - zeta^(-m l_i) w).
-Evaluations here are double precision; the exact dimensions themselves
-come from the residue convolution, so the series side is an independent
-cross-check of the closed form.
+Evaluations here are double precision.  The series side sums exact
+dimensions by `dim_cell`'s route (for n = 2 the paper's closed-form count,
+which the tests check against the residue convolution), so it is an
+independent cross-check of the rational closed form.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 
 from .core import DomainViolation, InsufficientSamples, InvalidOrder, LensSpace
-from .invariant import dim_invariant_dp
+from .invariant import dim_cell
 
 MODULUS_BOUND = 0.9
 
@@ -57,11 +58,9 @@ def genfunc_closed(space: LensSpace, z: complex, w: complex) -> complex:
 def _series_grid(
     space: LensSpace, p_max: int, q_max: int
 ) -> tuple[tuple[int, ...], ...]:
-    """dim H^G_(p,q) for p <= p_max, q <= q_max, from the residue convolution."""
-    return tuple(
-        tuple(dim_invariant_dp(space, p, q) for q in range(q_max + 1))
-        for p in range(p_max + 1)
-    )
+    """dim H^G_(p,q) for p <= p_max, q <= q_max, by `dim_cell`'s route."""
+    dim = dim_cell(space)
+    return tuple(tuple(dim(p, q) for q in range(q_max + 1)) for p in range(p_max + 1))
 
 
 def genfunc_series(

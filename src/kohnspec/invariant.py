@@ -8,9 +8,12 @@ invariant monomials z^alpha zbar^beta.  Three routes to the count live
 here: a literal enumeration (the oracle), a residue-class convolution
 for N (the route for n >= 3, and the independent check for n = 2), and,
 for n = 2, the paper's count m_pq + n_pq - [k | p - q] in closed form,
-O(1) per bidegree after one modular inverse per space.  The n = 2 shift
-recurrence reduces any bidegree to a k x k base table filled from it.
-The convolution's residue profiles are row functions, sized to no degree.
+O(1) per bidegree after one modular inverse per space.  `dim_cell` is
+the one place that picks a space's route: the closed form for n = 2, the
+convolution otherwise; the tests keep the convolution as the n = 2 check.
+The n = 2 shift recurrence reduces any bidegree to a k x k base table
+filled from the closed form.  The convolution's residue profiles are row
+functions, sized to no degree.
 """
 from __future__ import annotations
 
@@ -228,42 +231,32 @@ def dim_invariant_recurrence(
     if p < 0 or q < 0:
         raise ValueError("bidegree components must be nonnegative")
     charge(space.k**2, budget)
-    return dim_cell(space)(p, q)
+    k, d = space.k, gcd_invariant(space)
+    if (p - q) % d:
+        return 0
+    return base_dim_table(space)[p % k][q % k] + d * (p // k + q // k)
 
 
 def dim_cell(space: LensSpace) -> Callable[[int, int], int]:
     """dim_invariant(space, p, q) as a function of p, q >= 0 alone.
 
-    For n = 2 the base table, k and d = gcd(k, l_1 - l_2) are bound once,
-    so a walk over many cells pays one O(k^2) fill and then one table
-    lookup per cell, which is cheaper than the closed form per cell;
-    higher n binds the space to the convolution.  Bidegrees are not
-    sign-checked.
+    The one place that picks the per-cell route for a space: the n = 2
+    closed form, O(1) per cell with no table, or for higher n the space
+    bound to the convolution.  A caller asking about many cells binds it
+    once.  Bidegrees are not sign-checked.
     """
-    if space.n != 2:
-        return partial(dim_invariant_dp, space)
-    k, d, base = space.k, gcd_invariant(space), base_dim_table(space)
-
-    def cell(p: int, q: int) -> int:
-        if (p - q) % d:
-            return 0
-        return base[p % k][q % k] + d * (p // k + q // k)
-
-    return cell
+    return _closed_form(space) if space.n == 2 else partial(dim_invariant_dp, space)
 
 
 def dim_invariant(space: LensSpace, p: int, q: int) -> int:
     """Invariant dimension by the fastest exact route for the space.
 
-    n = 2 evaluates the closed form in O(1) and builds no table; higher
-    n uses the residue convolution.  k = 1 degenerates to the full
-    sphere eigenspace dimension either way.
+    The route is `dim_cell`'s.  k = 1 degenerates to the full sphere
+    eigenspace dimension either way.
     """
-    if space.n != 2:
-        return dim_invariant_dp(space, p, q)
     if p < 0 or q < 0:
         raise ValueError("bidegree components must be nonnegative")
-    return _closed_form(space)(p, q)
+    return dim_cell(space)(p, q)
 
 
 def clear_caches() -> None:

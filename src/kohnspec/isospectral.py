@@ -15,7 +15,6 @@ from itertools import permutations, product
 
 from .core import (
     DEFAULT_BUDGET,
-    InvalidEigenvalue,
     InvalidOrder,
     LensSpace,
     MismatchedSpaces,
@@ -23,8 +22,8 @@ from .core import (
     charge,
     gcd_invariant,
 )
-from .invariant import base_dim_table, dim_invariant_dp
-from .spectrum import _bidegrees_for, _sieve_work, multiplicity_table
+from .invariant import base_dim_table, dim_cell
+from .spectrum import _bidegrees_for, _check_eigenvalue, _sieve_work, multiplicity_table
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,9 @@ def dims_equal(space: LensSpace, other: LensSpace, p_max: int, q_max: int) -> bo
         return gcd_invariant(space) == gcd_invariant(other) and base_dim_table(
             space
         ) == base_dim_table(other)
+    dim, other_dim = dim_cell(space), dim_cell(other)
     return all(
-        dim_invariant_dp(space, p, q) == dim_invariant_dp(other, p, q)
+        dim(p, q) == other_dim(p, q)
         for p in range(p_max + 1)
         for q in range(q_max + 1)
     )
@@ -148,12 +148,6 @@ def _check_order(k: int) -> None:
     """Reject an order k < 2."""
     if k < 2:
         raise InvalidOrder(f"residue-count matrix needs k >= 2, got {k}")
-
-
-def _check_eigenvalue(lam: int) -> None:
-    """Reject an eigenvalue that is not positive and even."""
-    if lam < 2 or lam % 2 != 0:
-        raise InvalidEigenvalue(f"eigenvalues are positive even integers, got {lam}")
 
 
 def _residue_counts(k: int, lam: int) -> dict[int, int]:

@@ -37,14 +37,7 @@ from .core import (
     charge,
     gcd_invariant,
 )
-from .invariant import (
-    _closed_form,
-    _correlate_zero,
-    _profile_rows,
-    base_dim_table,
-    dim_cell,
-    dim_invariant_dp,
-)
+from .invariant import _correlate_zero, _profile_rows, base_dim_table, dim_cell
 
 
 @dataclass(frozen=True)
@@ -75,7 +68,7 @@ class SpectrumTable:
 
     def contributors(self, lam: int) -> list[Contributor]:
         """The bidegrees of positive dimension that make up lam, by p."""
-        cells = _contributors(self.space, lam, _dimension(self.space))
+        cells = _contributors(self.space, lam, dim_cell(self.space))
         return [Contributor(*cell) for cell in cells]
 
 
@@ -93,23 +86,19 @@ def _bidegrees_for(lam: int, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _dimension(space: LensSpace):
-    """The space's dim(p, q), bound once.
-
-    The n = 2 closed form, which fills no base table, or the convolution
-    for n >= 3.
-    """
-    return _closed_form(space) if space.n == 2 else partial(dim_invariant_dp, space)
+def _check_eigenvalue(lam: int) -> None:
+    """Reject an eigenvalue that is not positive and even."""
+    if lam < 2 or lam % 2 != 0:
+        raise InvalidEigenvalue(f"eigenvalues are positive even integers, got {lam}")
 
 
 def _contributors(space: LensSpace, lam: int, dim):
     """Yield (p, q, dim) for the bidegrees of lam with positive dimension.
 
-    `dim` is `_dimension(space)`, which a caller asking about many
+    `dim` is `dim_cell(space)`, which a caller asking about many
     eigenvalues binds once.
     """
-    if lam <= 0 or lam % 2 != 0:
-        raise InvalidEigenvalue(f"eigenvalues are positive even integers, got {lam}")
+    _check_eigenvalue(lam)
     for p, q in _bidegrees_for(lam, space.n):
         if d := dim(p, q):
             yield p, q, d
@@ -117,11 +106,17 @@ def _contributors(space: LensSpace, lam: int, dim):
 
 def multiplicity(space: LensSpace, lam: int) -> int:
     """Exact multiplicity of the eigenvalue lam on the lens space."""
-    return sum(d for _, _, d in _contributors(space, lam, _dimension(space)))
+    return sum(d for _, _, d in _contributors(space, lam, dim_cell(space)))
 
 
 def _sieve_work(space: LensSpace, lambda_max: int) -> int:
-    """The charge of `_sieve`: its cells, plus k^2 for an n = 2 base table."""
+    """The charge of `_sieve`: its cells, plus k^2 for an n = 2 base table.
+
+    Every sieve's caller prices it first, so a negative cutoff is
+    rejected here, before any charge.
+    """
+    if lambda_max < 0:
+        raise ValueError("lambda_max must be nonnegative")
     # The table is charged even when cached: a verdict must not depend on
     # cache state.
     return counting_grid_size(space.n, lambda_max) + (space.k**2 if space.n == 2 else 0)
@@ -160,7 +155,8 @@ def _line_dims(space: LensSpace, half: int):
     dim(f, m) > 0 only for every step-th m, and each range ms given
     starts at such an m.  n >= 3: step 1 and one `dim_cell` call per m.
     n = 2: dim vanishes off d | f - m, d = gcd(k, l_1 - l_2), so the step
-    is d; at m = f mod d + d j, as in `dim_cell`,
+    is d; at m = f mod d + d j, by the shift reduction that
+    `dim_invariant_recurrence` uses,
     dim = base[f mod k][m mod k] + d floor(f/k) + d floor(j/period),
     period = k/d.  The base part repeats with that period: a slice of
     base row f mod k, cycled.  The floor part is a slice of one list
@@ -193,8 +189,6 @@ def build_spectrum(
     More than `budget` (p, q) cells under lambda_max, plus k^2 for an
     n = 2 base table, raise ResourceLimit before any table is built.
     """
-    if lambda_max < 0:
-        raise ValueError("lambda_max must be nonnegative")
     charge(_sieve_work(space, lambda_max), budget)
     return SpectrumTable(space, lambda_max, _sieve(space, lambda_max))
 
@@ -382,7 +376,7 @@ def write_json(table: SpectrumTable, out, contributors: bool = False) -> None:
     """
     out.write('{\n  "lens": %s,\n  "lambda_max": %d,\n  "entries": ['
               % (json.dumps(str(table.space)), table.lambda_max))
-    sep, dim = "\n", _dimension(table.space)
+    sep, dim = "\n", dim_cell(table.space)
     for lam, m in table.by_eigenvalue.items():
         out.write(sep + _ENTRY % (lam, m))
         sep = ",\n"

@@ -1,10 +1,12 @@
 import cmath
 import math
+import sys
 
 import pytest
 
 from kohnspec.core import DomainViolation, InsufficientSamples, make_lens_space
 from kohnspec.genfunc import (
+    _series_grid,
     genfunc_closed,
     genfunc_series,
     independence_probe,
@@ -23,6 +25,30 @@ def test_closed_matches_series():
     space = make_lens_space(2, 3, [1, 2])
     z, w = 0.3 + 0j, 0.2 + 0j
     assert abs(genfunc_closed(space, z, w) - genfunc_series(space, z, w, 60, 60)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        make_lens_space(2, 1, [1, 1]),  # the sphere
+        make_lens_space(2, 7, [1, 3]),
+        make_lens_space(2, 30, [1, 7]),  # d = gcd(30, 1 - 7) = 6
+    ],
+)
+def test_n2_series_grid_takes_the_closed_form(monkeypatch, space):
+    expected = tuple(
+        tuple(dim_invariant_dp(space, p, q) for q in range(31)) for p in range(26)
+    )
+
+    def refuse(*args):
+        raise AssertionError("the convolution ran for an n = 2 grid")
+
+    # In every kohnspec module that holds the name, so no import escapes.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kohnspec") and hasattr(module, "dim_invariant_dp"):
+            monkeypatch.setattr(module, "dim_invariant_dp", refuse)
+    _series_grid.cache_clear()
+    assert _series_grid(space, 25, 30) == expected
 
 
 def test_closed_real_on_real_diagonal():

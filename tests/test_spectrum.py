@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kohnspec.core import InvalidEigenvalue, ResourceLimit, make_lens_space
 from kohnspec.invariant import base_dim_table, dim_invariant_bruteforce
+from kohnspec.isospectral import spectra_equal_up_to
 from kohnspec.spectrum import (
     SpectrumTable,
     build_spectrum,
@@ -32,6 +33,16 @@ def test_sphere_table_small():
 
 def test_empty_table_at_zero():
     assert build_spectrum(make_lens_space(2, 3, [1, 2]), 0).multiplicities() == {}
+
+
+def test_every_sieve_rejects_a_negative_cutoff():
+    space, other = make_lens_space(2, 5, [1, 2]), make_lens_space(2, 5, [1, 3])
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_spectrum(space, -4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        multiplicity_table(space, -4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        spectra_equal_up_to(space, other, -4)
 
 
 def test_lens_table_cross_checked_against_enumeration():
@@ -172,8 +183,8 @@ def test_provenance_binds_the_dimension_once_per_table(monkeypatch):
     from kohnspec import spectrum
 
     calls = []
-    bind = spectrum._dimension
-    monkeypatch.setattr(spectrum, "_dimension", lambda space: calls.append(space) or bind(space))
+    bind = spectrum.dim_cell
+    monkeypatch.setattr(spectrum, "dim_cell", lambda space: calls.append(space) or bind(space))
     table = build_spectrum(make_lens_space(2, 9, [1, 8]), 400)
     assert len(spectrum_to_json(table, contributors=True)) > 0
     assert len(calls) == 1 and len(table.by_eigenvalue) > 100
