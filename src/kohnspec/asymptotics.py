@@ -4,6 +4,9 @@ The counting function of a lens space grows like 1/k times the sphere's;
 this module samples that ratio exactly, evaluates the universal Weyl
 constant by quadrature, validates the floor/ceiling bound inequalities in
 exact rational arithmetic, and tabulates the remainder-term experiment.
+The bound checks sum in closed form: the hockey-stick identity
+sum_(j<=m) C(j, r) = C(m+1, r+1) collapses each left side's double sum
+to O(N/m) terms and each right side to three binomials.
 The sphere's counts are those of the trivial group L(1; 1, ..., 1).
 """
 from __future__ import annotations
@@ -193,51 +196,62 @@ def weyl_constant_experiment(space: LensSpace, lambda_max: int) -> WeylConstants
     return WeylConstants(empirical=empirical, predicted=_predicted_constant(space))
 
 
+def _term_sums(params: BoundParams) -> tuple[int, int, int]:
+    """sum_i = sum over q <= N of C(q+n-i, n-i), for i = 1, 2, 3.
+
+    Both bounds compare against sum_q t(q) C(q+n-2, n-2) / (md), with t(q)
+    built from 1, (q+n-1)/(n-1) and (n-2)/(q+n-2).  As
+    (q+n-1)/(n-1) C(q+n-2, n-2) = C(q+n-1, n-1) and
+    (n-2)/(q+n-2) C(q+n-2, n-2) = C(q+n-3, n-3), each right-hand side is a
+    combination of these three sums, each one binomial by the hockey-stick
+    identity sum_(q<=N) C(q+r, r) = C(N+r+1, r+1).
+    """
+    N, n = params.N, params.n
+    if n < 3:
+        raise UnsupportedDimension(f"bound lemmas need n >= 3, got n={n}")
+    return comb(N + n, n), comb(N + n - 1, n - 1), comb(N + n - 2, n - 2)
+
+
 def check_lower_bound(params: BoundParams) -> BoundCheck:
     """Exact test of the floor-sum lower bound inequality.
 
     lhs = sum_r C(r+n-3, n-3) sum_{j=0}^{floor((N-r+1)/m)-1} floor((jm+1)/d)
-    against the explicit rational comparison sum; empty inner sums (upper
-    index -1) contribute zero.
+    over 0 <= r <= N, empty inner sums (upper index -1) contributing zero,
+    against rhs = sum_{q<=N} [(q+n-1)/(n-1) - M - M(n-2)/(q+n-2)]
+    C(q+n-2, n-2) / (md), M = d + 3m/2.  Term j of the inner sum appears
+    for r <= R = N+1-(j+1)m, and sum_(r<=R) C(r+n-3, n-3) = C(R+n-2, n-2)
+    (hockey stick), so lhs = sum_j floor((jm+1)/d) C(R+n-2, n-2): O(N/m)
+    integer terms.  rhs is three binomials over 2md (`_term_sums`).
     """
     N, m, d, n = params.N, params.m, params.d, params.n
-    if n < 3:
-        raise UnsupportedDimension(f"bound lemmas need n >= 3, got n={n}")
-    lhs = 0
-    for r in range(N + 1):
-        inner = sum((j * m + 1) // d for j in range((N - r + 1) // m))
-        lhs += comb(r + n - 3, n - 3) * inner
-    rhs = Fraction(0)
-    margin = d + Fraction(3, 2) * m
-    for q in range(N + 1):
-        term = Fraction(q + n - 1, n - 1) - margin - margin * Fraction(n - 2, q + n - 2)
-        rhs += term * comb(q + n - 2, n - 2)
-    rhs /= m * d
-    lhs = Fraction(lhs)
+    sum1, sum2, sum3 = _term_sums(params)
+    lhs = Fraction(sum(
+        (j * m + 1) // d * comb(N + 1 - (j + 1) * m + n - 2, n - 2)
+        for j in range((N + 1) // m)
+    ))
+    rhs = Fraction(2 * sum1 - (2 * d + 3 * m) * (sum2 + sum3), 2 * m * d)
     return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs >= rhs)
 
 
 def check_upper_bound(params: BoundParams) -> BoundCheck:
-    """Exact test of the ceiling-sum upper bound inequality."""
+    """Exact test of the ceiling-sum upper bound inequality.
+
+    lhs = sum_r C(r+n-3, n-3) sum_{j=1}^{ceil((N-r+1)/m)} ceil(jm/d) over
+    0 <= r <= N, against rhs = sum_{q<=N} [(q+n-1)/(n-1) + M
+    + (m^2 + md)(n-2)/(q+n-2)] C(q+n-2, n-2) / (md), M = d + 3m/2.  Term j
+    appears for r <= R = N-(j-1)m, so by the hockey-stick identity
+    lhs = sum_j ceil(jm/d) C(R+n-2, n-2): O(N/m) integer terms.  rhs is
+    three binomials over 2md (`_term_sums`).
+    """
     N, m, d, n = params.N, params.m, params.d, params.n
-    if n < 3:
-        raise UnsupportedDimension(f"bound lemmas need n >= 3, got n={n}")
-    lhs = 0
-    for r in range(N + 1):
-        j_top = -((N - r + 1) // -m)  # ceil((N-r+1)/m)
-        inner = sum(-((j * m) // -d) for j in range(1, j_top + 1))
-        lhs += comb(r + n - 3, n - 3) * inner
-    rhs = Fraction(0)
-    for q in range(N + 1):
-        term = (
-            Fraction(q + n - 1, n - 1)
-            + d
-            + Fraction(3, 2) * m
-            + (m * m + m * d) * Fraction(n - 2, q + n - 2)
-        )
-        rhs += term * comb(q + n - 2, n - 2)
-    rhs /= m * d
-    lhs = Fraction(lhs)
+    sum1, sum2, sum3 = _term_sums(params)
+    lhs = Fraction(sum(
+        -(j * m // -d) * comb(N - (j - 1) * m + n - 2, n - 2)
+        for j in range(1, N // m + 2)
+    ))
+    rhs = Fraction(
+        2 * sum1 + (2 * d + 3 * m) * sum2 + 2 * (m * m + m * d) * sum3, 2 * m * d
+    )
     return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
 
 

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import asymptotics, genfunc, isospectral, spectrum
-from .core import DEFAULT_BUDGET, KohnSpecError, LensSpace, parse_lens_spec
+from .core import DEFAULT_BUDGET, KohnSpecError, LensSpace, charge, parse_lens_spec
 from .invariant import (
     dim_invariant,
     dim_invariant_bruteforce,
@@ -143,6 +143,10 @@ def cmd_weyl(args) -> int:
 
 def cmd_bounds_check(args) -> int:
     dims = [int(part) for part in args.dims.split(",")]
+    sizes = (args.n_max + 1, args.m_max, args.d_max)
+    tuples = len(dims) * math.prod(max(size, 0) for size in sizes)
+    # A tuple sums at most n_max + 1 terms a side, plus its binomials.
+    charge(tuples * (args.n_max + 2), _resolve_budget(args))
     checked = 0
     for n in dims:
         for N in range(args.n_max + 1):
@@ -184,18 +188,22 @@ def cmd_isospec(args) -> int:
     return 0
 
 
+_CLASS = '    {\n      "representative": [\n        %d,\n        %d\n      ],\n      "members": [\n'
+_MEMBER = "        [\n          %d,\n          %d\n        ]"
+
+
 def cmd_classify(args) -> int:
-    classes = isospectral.classify_all(args.k)
-    _emit_json(
-        {
-            "k": args.k,
-            "spectral_equivalence_guaranteed": args.k != 2 and _is_prime(args.k),
-            "classes": [
-                {"representative": list(rep), "members": [list(m) for m in members]}
-                for rep, members in classes.items()
-            ],
-        }
-    )
+    """Print `json.dumps` of the classes with indent=2, one class at a time."""
+    classes = isospectral.classify_all(args.k, _resolve_budget(args))
+    guaranteed = args.k != 2 and _is_prime(args.k)
+    out = sys.stdout
+    out.write('{\n  "k": %d,\n  "spectral_equivalence_guaranteed": %s,\n  "classes": [\n'
+              % (args.k, "true" if guaranteed else "false"))
+    sep = ""
+    for rep, members in classes.items():  # Never empty, nor is any class.
+        out.write(sep + _CLASS % rep + ",\n".join(_MEMBER % m for m in members))
+        sep = "\n      ]\n    },\n"
+    out.write("\n      ]\n    }\n  ]\n}\n")
     return 0
 
 
@@ -299,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=6)
     p.add_argument("--d-max", type=int, default=6)
     p.add_argument("--dims", default="3,4,5", help="comma list of dimension parameters")
+    p.add_argument("--budget", type=int)
 
     p = add("isospec", cmd_isospec, help="compare two lens spaces")
     p.add_argument(
@@ -313,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", cmd_classify, help="isometry classes of weight pairs")
     p.add_argument("--k", type=int, required=True)
+    p.add_argument("--budget", type=int)
 
     p = add("cmatrix", cmd_cmatrix, help="residue-count matrix of one eigenvalue")
     p.add_argument("--k", type=int, required=True)

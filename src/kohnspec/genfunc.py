@@ -3,7 +3,7 @@
 The closed form averages rational terms over the group: (1/k) times the
 sum over m of (1 - zw) / prod_i (1 - zeta^(m l_i) z)(1 - zeta^(-m l_i) w).
 Evaluations here are double precision.  The series side sums exact
-dimensions by `dim_cell`'s route (for n = 2 the paper's closed-form count,
+dimensions from `dim_grid` (for n = 2 the paper's closed-form count,
 which the tests check against the residue convolution), so it is an
 independent cross-check of the rational closed form.
 """
@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 
 from .core import DomainViolation, InsufficientSamples, InvalidOrder, LensSpace
-from .invariant import dim_cell
+from .invariant import dim_grid
 
 MODULUS_BOUND = 0.9
 
@@ -58,9 +58,8 @@ def genfunc_closed(space: LensSpace, z: complex, w: complex) -> complex:
 def _series_grid(
     space: LensSpace, p_max: int, q_max: int
 ) -> tuple[tuple[int, ...], ...]:
-    """dim H^G_(p,q) for p <= p_max, q <= q_max, by `dim_cell`'s route."""
-    dim = dim_cell(space)
-    return tuple(tuple(dim(p, q) for q in range(q_max + 1)) for p in range(p_max + 1))
+    """dim H^G_(p,q) for p <= p_max, q <= q_max, by `dim_grid`."""
+    return dim_grid(space, p_max, q_max)
 
 
 def genfunc_series(

@@ -8,9 +8,11 @@ invariant monomials z^alpha zbar^beta.  Three routes to the count live
 here: a literal enumeration (the oracle), a residue-class convolution
 for N (the route for n >= 3, and the independent check for n = 2), and,
 for n = 2, the paper's count m_pq + n_pq - [k | p - q] in closed form,
-O(1) per bidegree after one modular inverse per space.  `dim_cell` is
-the one place that picks a space's route: the closed form for n = 2, the
-convolution otherwise; the tests keep the convolution as the n = 2 check.
+O(1) per bidegree after one modular inverse per space.  The route is
+picked here alone: `dim_cell` binds the closed form for n = 2 and the
+convolution otherwise, and `dim_grid` fills a whole (p, q) grid, for
+n >= 3 with one correlation per cell; the tests keep the convolution as
+the n = 2 check.
 The n = 2 shift recurrence reduces any bidegree to a k x k base table
 filled from the closed form.  The convolution's residue profiles are row
 functions, sized to no degree.
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable, Iterator
 
 from .core import (
@@ -159,32 +161,36 @@ class MNCounts:
     n_pq: int
 
 
-def _congruence(space: LensSpace) -> tuple[int, int, int]:
-    """(d, s, c), which bind the n = 2 closed form of the space.
+def _solution(space: LensSpace) -> tuple[int, Callable[[int], int]]:
+    """(s, solve), which bind the n = 2 closed form of the space.
 
     With r = p - q, both congruences of `MNCounts` read
     (l_1 - l_2) x = -l_2 r mod k, for x = alpha_1 and for x = -beta_1.
     l_2 is a unit, so they are solvable iff d = gcd(k, l_1 - l_2) divides
     r, and then exactly for x = a mod s, where s = k/d, a = c r/d mod s
-    and c = -l_2 ((l_1 - l_2)/d)^-1 mod s.  Hence n_pq = floor((p - a)/s)
-    + 1 and m_pq = floor((q + a)/s) + [a = 0].  As c is a unit mod s,
-    a = 0 iff k | r, so dim = floor((p - a)/s) + floor((q + a)/s) + 1.
+    and c = -l_2 ((l_1 - l_2)/d)^-1 mod s; solve(r) is that a, or -1 when
+    d does not divide r.  Hence n_pq = floor((p - a)/s) + 1 and
+    m_pq = floor((q + a)/s) + [a = 0].  As c is a unit mod s, a = 0 iff
+    k | r, so dim = floor((p - a)/s) + floor((q + a)/s) + 1.
     """
     l1, l2 = space.weights
     d = gcd_invariant(space)
     s = space.k // d
-    return d, s, -l2 * pow((l1 - l2) // d, -1, s) % s
+    c = -l2 * pow((l1 - l2) // d, -1, s) % s
+
+    def solve(r: int) -> int:
+        return -1 if r % d else c * (r // d) % s
+
+    return s, solve
 
 
 def _closed_form(space: LensSpace) -> Callable[[int, int], int]:
     """The n = 2 dimension as a function of p, q >= 0, in O(1) per cell."""
-    d, s, c = _congruence(space)
+    s, solve = _solution(space)
 
     def dim(p: int, q: int) -> int:
-        if (p - q) % d:
-            return 0
-        a = c * ((p - q) // d) % s
-        return (p - a) // s + (q + a) // s + 1
+        a = solve(p - q)
+        return 0 if a < 0 else (p - a) // s + (q + a) // s + 1
 
     return dim
 
@@ -195,10 +201,10 @@ def mn_counts(space: LensSpace, p: int, q: int) -> MNCounts:
         raise UnsupportedDimension(f"mn_counts needs n = 2, got n={space.n}")
     if p < 0 or q < 0:
         raise ValueError("bidegree components must be nonnegative")
-    d, s, c = _congruence(space)
-    if (p - q) % d:
+    s, solve = _solution(space)
+    a = solve(p - q)
+    if a < 0:
         return MNCounts(m_pq=0, n_pq=0)
-    a = c * ((p - q) // d) % s
     return MNCounts(m_pq=(q + a) // s + (a == 0), n_pq=(p - a) // s + 1)
 
 
@@ -246,6 +252,32 @@ def dim_cell(space: LensSpace) -> Callable[[int, int], int]:
     once.  Bidegrees are not sign-checked.
     """
     return _closed_form(space) if space.n == 2 else partial(dim_invariant_dp, space)
+
+
+def dim_grid(space: LensSpace, p_max: int, q_max: int) -> tuple[tuple[int, ...], ...]:
+    """dim_invariant(space, p, q) for 0 <= p <= p_max, 0 <= q <= q_max.
+
+    Row p is a tuple over q.  For n = 2 it maps `dim_cell`.  For n >= 3 it
+    correlates each profile pair once, into the grid of N(p, q), and
+    differences that along the diagonal, dim = N(p, q) - N(p-1, q-1):
+    (p_max + 1)(q_max + 1) correlations, where mapping `dim_cell` makes
+    nearly twice as many.
+    """
+    if space.n == 2:
+        dim = dim_cell(space)
+        return tuple(tuple(dim(p, q) for q in range(q_max + 1)) for p in range(p_max + 1))
+    k, weights = space.k, space.weights
+    alpha = _profile_rows(weights, k)
+    beta = _profile_rows(tuple(-w % k for w in weights), k)
+    columns = [beta(q) for q in range(q_max + 1)]
+    below = (0,) * (q_max + 1)  # N(p - 1, q - 1) over q, zero on the edges
+    grid = []
+    for p in range(p_max + 1):
+        row = alpha(p)
+        counts = tuple(_correlate_zero(row, column, k) for column in columns)
+        grid.append(tuple(map(sub, counts, below)))
+        below = (0,) + counts[:-1]
+    return tuple(grid)
 
 
 def dim_invariant(space: LensSpace, p: int, q: int) -> int:

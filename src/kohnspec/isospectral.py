@@ -22,7 +22,7 @@ from .core import (
     charge,
     gcd_invariant,
 )
-from .invariant import base_dim_table, dim_cell
+from .invariant import base_dim_table, dim_grid
 from .spectrum import _bidegrees_for, _check_eigenvalue, _sieve_work, multiplicity_table
 
 
@@ -103,12 +103,7 @@ def dims_equal(space: LensSpace, other: LensSpace, p_max: int, q_max: int) -> bo
         return gcd_invariant(space) == gcd_invariant(other) and base_dim_table(
             space
         ) == base_dim_table(other)
-    dim, other_dim = dim_cell(space), dim_cell(other)
-    return all(
-        dim(p, q) == other_dim(p, q)
-        for p in range(p_max + 1)
-        for q in range(q_max + 1)
-    )
+    return dim_grid(space, p_max, q_max) == dim_grid(other, p_max, q_max)
 
 
 def d_invariant_check(space: LensSpace, other: LensSpace) -> bool:
@@ -258,16 +253,34 @@ def span_dimension(k: int, lambdas, budget: int | None = DEFAULT_BUDGET) -> int:
     return _integer_rank(_residue_counts(k, lam) for lam in kept)
 
 
-def classify_all(k: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
+def _totient(k: int) -> int:
+    """Euler's phi(k), by trial division of k: O(sqrt(k))."""
+    phi, rest, f = k, k, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            phi -= phi // f
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    return phi - phi // rest if rest > 1 else phi
+
+
+def classify_all(
+    k: int, budget: int | None = DEFAULT_BUDGET
+) -> dict[tuple[int, int], list[tuple[int, int]]]:
     """Partition all valid n = 2 weight pairs into isometry classes.
 
     Each class is the orbit {(a x, a y), (a y, a x) mod k : a a unit} of
     any member.  Keys are canonical representatives (first weight 1, least
     second weight over the orbit); values list the class members in
     ascending order.  Classes are returned by ascending representative.
+    The phi(k)^2 pairs are charged before any unit is listed; as
+    phi(k)^2 >= k/2, k // 2 is charged first, which bounds the factoring.
     """
     if k < 2:
         raise InvalidOrder(f"classification needs k >= 2, got {k}")
+    charge(k // 2, budget)
+    charge(_totient(k) ** 2, budget)
     units = _units(k)
     unclassified = set(product(units, repeat=2))
     classes: dict[tuple[int, int], list[tuple[int, int]]] = {}

@@ -1,10 +1,13 @@
 import math
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kohnspec.asymptotics import (
+    BoundCheck,
     BoundParams,
     QuadratureConfig,
     check_lower_bound,
@@ -78,6 +81,79 @@ def test_bounds_hold_on_small_grid():
                     params = BoundParams(N=N, m=m, d=d, n=n)
                     assert check_lower_bound(params).holds, params
                     assert check_upper_bound(params).holds, params
+
+
+def literal_lower_bound(params):
+    """The floor-sum lower bound summed term by term: O(N^2/m) floors."""
+    N, m, d, n = params.N, params.m, params.d, params.n
+    lhs = 0
+    for r in range(N + 1):
+        inner = sum((j * m + 1) // d for j in range((N - r + 1) // m))
+        lhs += comb(r + n - 3, n - 3) * inner
+    rhs = Fraction(0)
+    margin = d + Fraction(3, 2) * m
+    for q in range(N + 1):
+        term = Fraction(q + n - 1, n - 1) - margin - margin * Fraction(n - 2, q + n - 2)
+        rhs += term * comb(q + n - 2, n - 2)
+    rhs /= m * d
+    lhs = Fraction(lhs)
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs >= rhs)
+
+
+def literal_upper_bound(params):
+    """The ceiling-sum upper bound summed term by term."""
+    N, m, d, n = params.N, params.m, params.d, params.n
+    lhs = 0
+    for r in range(N + 1):
+        j_top = -((N - r + 1) // -m)  # ceil((N-r+1)/m)
+        inner = sum(-((j * m) // -d) for j in range(1, j_top + 1))
+        lhs += comb(r + n - 3, n - 3) * inner
+    rhs = Fraction(0)
+    for q in range(N + 1):
+        term = (
+            Fraction(q + n - 1, n - 1)
+            + d
+            + Fraction(3, 2) * m
+            + (m * m + m * d) * Fraction(n - 2, q + n - 2)
+        )
+        rhs += term * comb(q + n - 2, n - 2)
+    rhs /= m * d
+    lhs = Fraction(lhs)
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
+
+
+def assert_bounds_match_the_literal_sums(params):
+    for fast, literal in ((check_lower_bound, literal_lower_bound),
+                          (check_upper_bound, literal_upper_bound)):
+        result, expected = fast(params), literal(params)
+        assert result == expected, (params, fast.__name__)
+        assert type(result.lhs) is Fraction and type(result.rhs) is Fraction
+        assert type(result.holds) is bool
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_bounds_match_the_literal_sums_on_a_grid(n):
+    for N in range(25):
+        for m in range(1, 7):
+            for d in range(1, 7):
+                assert_bounds_match_the_literal_sums(BoundParams(N=N, m=m, d=d, n=n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 9), st.integers(0, 200), st.integers(1, 15), st.integers(1, 15))
+@example(3, 200, 1, 1)
+@example(9, 199, 15, 2)
+@example(4, 7, 15, 15)
+def test_bounds_match_the_literal_sums(n, N, m, d):
+    assert_bounds_match_the_literal_sums(BoundParams(N=N, m=m, d=d, n=n))
+
+
+def test_bounds_at_a_large_N_take_a_few_terms():
+    params = BoundParams(N=2000, m=3, d=5, n=4)
+    start = time.perf_counter()
+    lower, upper = check_lower_bound(params), check_upper_bound(params)
+    assert time.perf_counter() - start < 0.01
+    assert lower.holds and upper.holds
 
 
 def test_bounds_reject_small_dimension():

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from kohnspec import spectrum
-from kohnspec.cli import build_parser, main
+from kohnspec import isospectral, spectrum
+from kohnspec.cli import _is_prime, build_parser, main
 from kohnspec.core import DEFAULT_BUDGET, parse_lens_spec
 from kohnspec.invariant import dim_invariant_dp
 
@@ -161,6 +161,44 @@ def test_classify_composite_flagged(capsys):
     assert json.loads(out)["spectral_equivalence_guaranteed"] is False
 
 
+def classify_document(k):
+    """The classify output as the json module lays it out, indent=2."""
+    obj = {
+        "k": k,
+        "spectral_equivalence_guaranteed": k != 2 and _is_prime(k),
+        "classes": [
+            {"representative": list(rep), "members": [list(m) for m in members]}
+            for rep, members in isospectral.classify_all(k).items()
+        ],
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def test_classify_is_the_json_module_layout(capsys):
+    flags = set()
+    for k in range(2, 61):
+        code, out, _ = run(capsys, "classify", "--k", str(k))
+        assert code == 0 and out == classify_document(k), k
+        flags.add(json.loads(out)["spectral_equivalence_guaranteed"])
+    assert flags == {True, False}
+
+
+def test_classify_and_bounds_check_budget_flags(capsys, monkeypatch):
+    code, out, err = run(capsys, "classify", "--k", "12", "--budget", "15")
+    assert code == 2 and out == "" and "work 16 exceeds budget 15" in err
+    code, out, _ = run(capsys, "classify", "--k", "12", "--budget", "16")
+    assert code == 0 and out == classify_document(12)
+    # 2 dims x 4 values of N x 2 x 3 tuples, each priced n_max + 2 = 5.
+    argv = ["bounds-check", "--dims", "3,4", "--n-max", "3", "--m-max", "2", "--d-max", "3"]
+    code, out, err = run(capsys, *argv, "--budget", "239")
+    assert code == 2 and out == "" and "work 240 exceeds budget 239" in err
+    monkeypatch.setenv("KOHN_LENS_BUDGET", "239")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "work 240 exceeds budget 239" in err
+    code, out, _ = run(capsys, *argv, "--budget", "240")
+    assert code == 0 and out == "checked 48 parameter tuples: all bounds hold\n"
+
+
 def test_span_subcommand(capsys):
     code, out, _ = run(capsys, "span", "--k", "3", "--lambda-max", "200")
     assert code == 0
@@ -277,7 +315,7 @@ def test_count_budget_refuses_before_any_table(capsys):
 
 
 def test_count_charges_the_base_table_fill_before_it(capsys, monkeypatch):
-    from kohnspec import spectrum
+    from kohnspec import isospectral, spectrum
 
     calls = []
     monkeypatch.setattr(spectrum, "base_dim_table", lambda *args: calls.append(args))
@@ -306,7 +344,7 @@ def test_spectrum_charges_the_base_table_fill_before_it(capsys, monkeypatch):
 
 
 def test_isospec_charges_both_sieves_before_either(capsys, monkeypatch):
-    from kohnspec import spectrum
+    from kohnspec import isospectral, spectrum
 
     calls = []
     # What an n = 2 sieve builds first, and what any other one calls.
@@ -456,6 +494,17 @@ def test_cmatrix_over_budget_allocates_nothing():
     proc, elapsed = run_process("cmatrix", "--k", "100000", "--lambda", "2", "--budget", "1000")
     assert proc.returncode == 2 and proc.stdout == ""
     assert "work 10000000001 exceeds budget 1000" in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_classify_and_bounds_check_over_the_default_budget_exit_2_at_once():
+    proc, elapsed = run_process("classify", "--k", "1000003")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "work 1000004000004 exceeds budget 10000000" in proc.stderr
+    assert elapsed < 1.0
+    proc, elapsed = run_process("bounds-check", "--n-max", "100000", "--dims", "3")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds budget 10000000" in proc.stderr
     assert elapsed < 1.0
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kohnspec.core import ResourceLimit, UnsupportedDimension, make_lens_space
+from kohnspec import invariant
 from kohnspec.invariant import (
     _profile_rows,
     base_dim_table,
@@ -13,6 +14,7 @@ from kohnspec.invariant import (
     dim_invariant_bruteforce,
     dim_invariant_dp,
     dim_invariant_recurrence,
+    dim_grid,
     divides,
     exponent_profile,
     mn_counts,
@@ -277,3 +279,33 @@ def test_base_table_is_cached_and_consistent():
 def test_recurrence_needs_n2():
     with pytest.raises(UnsupportedDimension):
         dim_invariant_recurrence(make_lens_space(3, 5, [1, 2, 3]), 1, 1)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        make_lens_space(3, 1, [1, 1, 1]),
+        make_lens_space(3, 12, [1, 5, 7]),
+        make_lens_space(4, 1, [1, 1, 1, 1]),
+        make_lens_space(4, 9, [1, 2, 4, 8]),
+        make_lens_space(2, 30, [1, 7]),
+    ],
+)
+def test_dim_grid_matches_the_convolution_cell_by_cell(monkeypatch, space):
+    p_max, q_max = 13, 9
+    expected = tuple(
+        tuple(dim_invariant_dp(space, p, q) for q in range(q_max + 1))
+        for p in range(p_max + 1)
+    )
+    calls = []
+    correlate = invariant._correlate_zero
+
+    def counted(a, b, k):
+        calls.append(k)
+        return correlate(a, b, k)
+
+    monkeypatch.setattr(invariant, "_correlate_zero", counted)
+    assert dim_grid(space, p_max, q_max) == expected
+    assert len(calls) <= (p_max + 1) * (q_max + 1)
+    assert dim_grid(space, -1, q_max) == () and dim_grid(space, 2, -1) == ((), (), ())
+

@@ -16,6 +16,7 @@ from kohnspec.core import (
 )
 from kohnspec.isospectral import (
     IsometryWitness,
+    _totient,
     c_matrix,
     classify_all,
     condition4_witness,
@@ -278,6 +279,29 @@ def test_classify_matches_orbit_enumeration():
         assert {frozenset(members) for members in classes.values()} == orbits
         assert len(classes) == len(orbits)
         assert all(rep in members for rep, members in classes.items())
+
+
+def test_totient_by_factoring_counts_the_units():
+    for k in range(1, 400):
+        assert _totient(k) == (len(units_of(k)) if k > 1 else 1)
+        # The floor classify_all charges before it factors.
+        assert _totient(k) ** 2 >= k / 2
+    assert _totient(2**40) == 2**39 and _totient(1000003) == 1000002
+
+
+def test_classify_charges_the_pairs_before_any_work():
+    with pytest.raises(ResourceLimit, match="work 16 exceeds budget 15"):
+        classify_all(12, budget=15)
+    assert list(classify_all(12, budget=16)) == [(1, 1), (1, 5), (1, 7), (1, 11)]
+    assert len(classify_all(12, budget=None)) == 4
+    # 1000003 is prime: phi(k)^2 is about 1e12 pairs.
+    with pytest.raises(ResourceLimit, match="work 1000004000004 exceeds"):
+        classify_all(1000003)
+    # An order far past the budget is refused before it is factored.
+    with pytest.raises(ResourceLimit, match=f"work {10**30} exceeds"):
+        classify_all(2 * 10**30)
+    with pytest.raises(InvalidOrder):
+        classify_all(1, budget=0)
 
 
 def test_classify_representatives_mutually_distinct_spectra():
