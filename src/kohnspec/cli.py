@@ -143,8 +143,7 @@ def cmd_weyl(args) -> int:
 
 def cmd_bounds_check(args) -> int:
     dims = [int(part) for part in args.dims.split(",")]
-    sizes = (args.n_max + 1, args.m_max, args.d_max)
-    tuples = len(dims) * math.prod(max(size, 0) for size in sizes)
+    tuples = len(dims) * (args.n_max + 1) * args.m_max * args.d_max
     # A tuple sums at most n_max + 1 terms a side, plus its binomials.
     charge(tuples * (args.n_max + 2), _resolve_budget(args))
     checked = 0
@@ -303,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
 
     p = add("bounds-check", cmd_bounds_check, help="validate the counting bounds grid")
-    p.add_argument("--n-max", type=int, default=30, help="largest N in the sweep")
-    p.add_argument("--m-max", type=int, default=6)
-    p.add_argument("--d-max", type=int, default=6)
+    p.add_argument("--n-max", type=_nonnegative, default=30, help="largest N in the sweep")
+    p.add_argument("--m-max", type=_positive, default=6)
+    p.add_argument("--d-max", type=_positive, default=6)
     p.add_argument("--dims", default="3,4,5", help="comma list of dimension parameters")
     p.add_argument("--budget", type=int)
 

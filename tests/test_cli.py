@@ -197,6 +197,11 @@ def test_classify_and_bounds_check_budget_flags(capsys, monkeypatch):
     assert code == 2 and "work 240 exceeds budget 239" in err
     code, out, _ = run(capsys, *argv, "--budget", "240")
     assert code == 0 and out == "checked 48 parameter tuples: all bounds hold\n"
+    # An empty m or d range would leave the N loop unpriced: refused instead.
+    for flag in ("--m-max", "--d-max"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bounds-check", "--n-max", str(10**12), flag, "0"])
+        assert exit_info.value.code == 2
 
 
 def test_span_subcommand(capsys):
