@@ -39,6 +39,12 @@ def charge(work: int, budget: int | None) -> None:
         raise ResourceLimit(f"work {work} exceeds budget {budget}")
 
 
+def check_bidegree(p: int, q: int) -> None:
+    """Reject a bidegree (p, q) with a negative component."""
+    if p < 0 or q < 0:
+        raise ValueError("bidegree components must be nonnegative")
+
+
 class InvalidEigenvalue(KohnSpecError):
     """Eigenvalues of the Kohn Laplacian are positive even integers."""
 

@@ -11,11 +11,12 @@ for n = 2, the paper's count m_pq + n_pq - [k | p - q] in closed form,
 O(1) per bidegree after one modular inverse per space.  The route is
 picked here alone: `dim_cell` binds the closed form for n = 2 and the
 convolution otherwise, and `dim_grid` fills a whole (p, q) grid, for
-n >= 3 with one correlation per cell; the tests keep the convolution as
-the n = 2 check.
-The n = 2 shift recurrence reduces any bidegree to a k x k base table
-filled from the closed form.  The convolution's residue profiles are row
-functions, sized to no degree.
+n >= 3 with one dot product per cell; the tests keep the convolution as
+the n = 2 check.  The n = 2 shift recurrence reduces any bidegree to a
+k x k base table filled from the closed form.  The convolution's one
+residue profile per space is a row function, sized to no degree: z^alpha
+zbar^beta is invariant iff alpha and beta have equal weighted residues,
+so N(p, q) is the dot product of profile rows p and q.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .core import (
     LensSpace,
     UnsupportedDimension,
     charge,
+    check_bidegree,
     gcd_invariant,
 )
 
@@ -58,8 +60,7 @@ def dim_invariant_bruteforce(
     C(p+n-1, n-1) * C(q+n-1, n-1) candidate pairs; raises ResourceLimit
     if that product exceeds the budget.
     """
-    if p < 0 or q < 0:
-        raise ValueError("bidegree components must be nonnegative")
+    check_bidegree(p, q)
     n, k, weights = space.n, space.k, space.weights
     charge(comb(p + n - 1, n - 1) * comb(q + n - 1, n - 1), budget)
 
@@ -119,31 +120,29 @@ def exponent_profile(space: LensSpace, degree: int) -> tuple[int, ...]:
     Entry r is #{alpha >= 0, |alpha| = degree, sum l_i alpha_i = r mod k};
     the entries sum to C(degree + n - 1, n - 1).
     """
+    check_bidegree(degree, 0)
     return _profile_rows(space.weights, space.k)(degree)
 
 
-def _correlate_zero(a: tuple[int, ...], b: tuple[int, ...], k: int) -> int:
-    """Number of cross pairs whose residues sum to 0 mod k."""
-    return sum(a[r] * b[-r % k] for r in range(k))
+def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Number of cross pairs of two profile rows with equal residues."""
+    return sum(map(mul, a, b))
 
 
 def dim_invariant_dp(space: LensSpace, p: int, q: int) -> int:
     """Invariant dimension N(p, q) - N(p-1, q-1) by residue-class convolution.
 
-    N(p, q) correlates profile row p of the weights with profile row q of
-    the negated weights; the second term is absent when
-    p = 0 or q = 0.  Multiplying by z_1 zbar_1 maps the (p-1, q-1) pairs
-    one-to-one, residue kept, onto the pairs with alpha_1, beta_1 >= 1, so
-    this is the alpha_1 = 0 or beta_1 = 0 count of the oracle.
+    N(p, q) is the dot product of profile rows p and q: the pairs with
+    equal residues.  The second term is absent when p = 0 or q = 0.
+    Multiplying by z_1 zbar_1 maps the (p-1, q-1) pairs one-to-one,
+    residue kept, onto the pairs with alpha_1, beta_1 >= 1, so this is
+    the alpha_1 = 0 or beta_1 = 0 count of the oracle.
     """
-    if p < 0 or q < 0:
-        raise ValueError("bidegree components must be nonnegative")
-    k, weights = space.k, space.weights
-    alpha = _profile_rows(weights, k)
-    beta = _profile_rows(tuple(-w % k for w in weights), k)
-    count = _correlate_zero(alpha(p), beta(q), k)
+    check_bidegree(p, q)
+    row = _profile_rows(space.weights, space.k)
+    count = _dot(row(p), row(q))
     if p and q:
-        count -= _correlate_zero(alpha(p - 1), beta(q - 1), k)
+        count -= _dot(row(p - 1), row(q - 1))
     return count
 
 
@@ -199,8 +198,7 @@ def mn_counts(space: LensSpace, p: int, q: int) -> MNCounts:
     """Count the two congruence branches separately (n = 2 only), in O(1)."""
     if space.n != 2:
         raise UnsupportedDimension(f"mn_counts needs n = 2, got n={space.n}")
-    if p < 0 or q < 0:
-        raise ValueError("bidegree components must be nonnegative")
+    check_bidegree(p, q)
     s, solve = _solution(space)
     a = solve(p - q)
     if a < 0:
@@ -234,8 +232,7 @@ def dim_invariant_recurrence(
     """
     if space.n != 2:
         raise UnsupportedDimension(f"recurrence needs n = 2, got n={space.n}")
-    if p < 0 or q < 0:
-        raise ValueError("bidegree components must be nonnegative")
+    check_bidegree(p, q)
     charge(space.k**2, budget)
     k, d = space.k, gcd_invariant(space)
     if (p - q) % d:
@@ -258,23 +255,20 @@ def dim_grid(space: LensSpace, p_max: int, q_max: int) -> tuple[tuple[int, ...],
     """dim_invariant(space, p, q) for 0 <= p <= p_max, 0 <= q <= q_max.
 
     Row p is a tuple over q.  For n = 2 it maps `dim_cell`.  For n >= 3 it
-    correlates each profile pair once, into the grid of N(p, q), and
-    differences that along the diagonal, dim = N(p, q) - N(p-1, q-1):
-    (p_max + 1)(q_max + 1) correlations, where mapping `dim_cell` makes
-    nearly twice as many.
+    takes the dot product of each pair of profile rows (p, q) once, into
+    the grid of N(p, q), and differences that along the diagonal,
+    dim = N(p, q) - N(p-1, q-1): (p_max + 1)(q_max + 1) dot products,
+    where mapping `dim_cell` makes nearly twice as many.
     """
     if space.n == 2:
         dim = dim_cell(space)
         return tuple(tuple(dim(p, q) for q in range(q_max + 1)) for p in range(p_max + 1))
-    k, weights = space.k, space.weights
-    alpha = _profile_rows(weights, k)
-    beta = _profile_rows(tuple(-w % k for w in weights), k)
-    columns = [beta(q) for q in range(q_max + 1)]
+    row = _profile_rows(space.weights, space.k)
+    columns = [row(q) for q in range(q_max + 1)]
     below = (0,) * (q_max + 1)  # N(p - 1, q - 1) over q, zero on the edges
     grid = []
     for p in range(p_max + 1):
-        row = alpha(p)
-        counts = tuple(_correlate_zero(row, column, k) for column in columns)
+        counts = tuple(map(partial(_dot, row(p)), columns))
         grid.append(tuple(map(sub, counts, below)))
         below = (0,) + counts[:-1]
     return tuple(grid)
@@ -286,8 +280,7 @@ def dim_invariant(space: LensSpace, p: int, q: int) -> int:
     The route is `dim_cell`'s.  k = 1 degenerates to the full sphere
     eigenspace dimension either way.
     """
-    if p < 0 or q < 0:
-        raise ValueError("bidegree components must be nonnegative")
+    check_bidegree(p, q)
     return dim_cell(space)(p, q)
 
 

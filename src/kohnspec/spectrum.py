@@ -14,7 +14,7 @@ Every count N_L(lam) comes from `_counts`, at any list of cutoffs, and
 visits no cell.  The cells q(p + n - 1) <= lam/2 lie under a hyperbola,
 which `_sum_lines`, the one Dirichlet split, cuts into O(sqrt(lam)) rows
 and columns, each summed in closed form: for n = 2 from prefix sums of the
-k x k base table, for n >= 3 as one correlation of a profile row with a
+k x k base table, for n >= 3 as one dot product of a profile row with a
 cumulative profile row, through the difference N(p, q) - N(p-1, q-1),
 whose profile rows are built one at a time in O(nk) each.
 `counting_grid_size` and the lemma sums of `asymptotics` are line sums
@@ -37,7 +37,7 @@ from .core import (
     charge,
     gcd_invariant,
 )
-from .invariant import _correlate_zero, _profile_rows, base_dim_table, dim_cell
+from .invariant import _dot, _profile_rows, base_dim_table, dim_cell
 
 
 @dataclass(frozen=True)
@@ -125,26 +125,23 @@ def _sieve_work(space: LensSpace, lambda_max: int) -> int:
 def _sieve(space: LensSpace, lambda_max: int) -> dict[int, int]:
     """Eigenvalue -> multiplicity (positive entries only), line by line.
 
-    The cells q(p + n - 1) <= lam/2 are cut as in `_sum_lines`: the rows
-    q <= s = isqrt(lam/2), and over q > s the columns p + n - 1 <= s.
-    dim(p, q) = dim(q, p), as conjugation maps the invariants of bidegree
-    (p, q) onto those of (q, p), so every line is a run of one coordinate
-    m with the other, f, fixed.  Its admissible cells are evenly spaced,
-    and so are their eigenvalues: a line is one strided slice add.
+    The cells q(p + n - 1) <= lam/2 lie on the lines of `_lines(lam/2,
+    n - 1)` in u = q, v = p + n - 1; a cell's index u v is the fixed
+    coordinate times the running one.  dim(p, q) = dim(q, p), as
+    conjugation maps the invariants of bidegree (p, q) onto those of (q, p),
+    so a line runs one bidegree coordinate m with the other, f, fixed.  Its
+    cells of positive dim, and their eigenvalues, are evenly spaced.
     """
     if lambda_max < 2:  # The least eigenvalue is 2.
         return {}
     n, half = space.n, lambda_max // 2
-    s = isqrt(half)
     by_half = [0] * (half + 1)
     step, dims = _line_dims(space, half)
-    # Row q = f: p = m = 0..half // f - n + 1 at index f (m + n - 1).
-    # Column p = f = v - n + 1: q = m = s + 1..half // v at index v m.
-    rows = ((u, 0, half // u - n + 1, u, n - 1) for u in range(1, s + 1))
-    columns = ((v - n + 1, s + 1, half // v, v, 0) for v in range(n - 1, s + 1))
-    for f, low, top, width, shift in chain(rows, columns):
-        ms = range(low + (f - low) % step, top + 1, step)
-        line = slice(width * (ms.start + shift), width * (top + shift) + 1, width * step)
+    for fixed, start, top in _lines(half, n - 1):
+        shift = n - 1 if start == n - 1 else 0  # A row runs over v = m + n - 1.
+        f, low = fixed + shift - n + 1, start - shift
+        ms = range(low + (f - low) % step, top - shift + 1, step)
+        line = slice(fixed * (ms.start + shift), fixed * top + 1, fixed * step)
         by_half[line] = map(add, by_half[line], dims(f, ms))
     return {2 * h: m for h, m in enumerate(by_half) if m}
 
@@ -241,12 +238,12 @@ def _work(space: LensSpace, halves: list[int]) -> int:
 
     `_sum_lines` evaluates at most isqrt(half) rows and as many columns
     of two lines.  n = 2: k^2 for the base table's fill, k^2 prefix sums,
-    one per line.  n >= 3, two regions: k per correlation, and at most
+    one per line.  n >= 3, two regions: k per dot product, and at most
     (n + 1)(k + _ROW_PASS) per profile row built: n + 1 passes of k
     entries, each with a fixed cost (tuple building; an interpolated
-    row's two `comb` calls) that dominates at small k.  A cumulative
+    row's two `comb` calls) that dominates at small k.  The cumulative
     profile fills its m = (n + 1) k rows t < m and interpolates at most
-    min(lines, largest + 1) more; a plain profile builds its rows
+    min(lines, largest + 1) more; the plain profile builds its rows
     0..isqrt(largest) at most.
     """
     n, k, largest = space.n, space.k, max(halves, default=0)
@@ -254,21 +251,30 @@ def _work(space: LensSpace, halves: list[int]) -> int:
     if n == 2:  # The fill is charged even when cached, as in `_sieve_work`.
         return 2 * k * k + lines
     m, row = (n + 1) * k, (n + 1) * (k + _ROW_PASS)
-    return 2 * row * (m + min(lines, largest + 1) + isqrt(largest) + 1) + 2 * k * lines
+    return row * (m + min(lines, largest + 1) + isqrt(largest) + 1) + 2 * k * lines
 
 
 def _sum_lines(half: int, low: int, row, column) -> int:
-    """Sum over the cells u >= 1, v >= low, u v <= half: the hyperbola split.
+    """Sum over the cells u >= 1, v >= low, u v <= half, line by line.
 
-    row(u, top) sums the cells v = low..top of a row u <= s = isqrt(half),
-    top = half // u >= low.  column(v, b) - column(v, a) sums the cells
-    u = a+1..b of column v; each column low <= v <= s adds u = s+1..half // v.
-    Past u = s, v <= half/(s+1) < s+1, so every cell is on one line.  A
-    negative half has no cells.
+    row(u, top) sums the cells v = low..top of a row of `_lines`, and
+    column(v, b) - column(v, a) the cells u = a+1..b of a column.  A column
+    starts past isqrt(half) >= v >= low, so a line that starts at low is a row.
+    """
+    return sum(row(f, top) if start == low else column(f, top) - column(f, start - 1)
+               for f, start, top in _lines(half, low))
+
+
+def _lines(half: int, low: int):
+    """The Dirichlet split of the cells u >= 1, v >= low, u v <= half.
+
+    Rows u <= s = isqrt(half) with half // u >= low run v = low..half // u,
+    and columns low <= v <= s run u = s+1..half // v; past u = s, v < s+1,
+    so every cell is on one line.  Each line is (fixed, start, top).
     """
     s = isqrt(max(half, 0))
-    total = sum(row(u, half // u) for u in range(1, s + 1) if half // u >= low)
-    return total + sum(column(v, half // v) - column(v, s) for v in range(low, s + 1))
+    rows = ((u, low, half // u) for u in range(1, s + 1) if half // u >= low)
+    return chain(rows, ((v, s + 1, half // v) for v in range(low, s + 1)))
 
 
 def _count_recurrence(space: LensSpace, halves: list[int]) -> list[int]:
@@ -305,24 +311,18 @@ def _count_recurrence(space: LensSpace, halves: list[int]) -> list[int]:
 def _count_convolution(space: LensSpace, halves: list[int]) -> list[int]:
     """N_L for n >= 3 as the sum of N over the cells minus the (-1, -1) shift.
 
-    dim(p, q) = N(p, q) - N(p-1, q-1) with N = 0 off p, q >= 0.  Over a
-    row, N sums to a correlation of a cumulative profile row of the
-    weights with a plain row of the negated weights; over a column, the
-    other way round; a zero weight appended makes a profile cumulative.
+    dim(p, q) = N(p, q) - N(p-1, q-1) with N = 0 off p, q >= 0, and N(p, q)
+    is the dot product of profile rows p and q.  Over a row or a column,
+    N sums to the dot product of a plain row with a cumulative one: a
+    zero weight appended makes the profile cumulative.
     """
     n, k = space.n, space.k
-    negated = tuple(-w % k for w in space.weights)
-    plain_a, plain_b = _profile_rows(space.weights, k), _profile_rows(negated, k)
-    cum_a, cum_b = _profile_rows(space.weights + (0,), k), _profile_rows(negated + (0,), k)
+    plain, cum = _profile_rows(space.weights, k), _profile_rows(space.weights + (0,), k)
 
     def region(half: int, low: int, shift: int) -> int:
         """Sum of N(v - low, u - shift) over u >= 1, v >= low, u v <= half."""
-        return _sum_lines(
-            half,
-            low,
-            lambda u, t: _correlate_zero(cum_a(t - low), plain_b(u - shift), k),
-            lambda v, t: _correlate_zero(plain_a(v - low), cum_b(t - shift), k),
-        )
+        return _sum_lines(half, low, lambda u, t: _dot(cum(t - low), plain(u - shift)),
+                          lambda v, t: _dot(plain(v - low), cum(t - shift)))
 
     # (p, q) = (v - n + 1, u) and (p - 1, q - 1) = (v - n, u - 1).
     return [region(half, n - 1, 0) - region(half, n, 1) for half in halves]

@@ -13,7 +13,7 @@ from functools import partial
 from itertools import product, starmap
 from math import comb
 
-from .core import DimensionTooSmall
+from .core import DimensionTooSmall, check_bidegree
 
 
 def dim_hpq(n: int, p: int, q: int) -> int:
@@ -25,8 +25,7 @@ def dim_hpq(n: int, p: int, q: int) -> int:
     """
     if n < 2:
         raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
-    if p < 0 or q < 0:
-        raise ValueError("bidegree components must be nonnegative")
+    check_bidegree(p, q)
     numerator = (p + q + n - 1) * comb(p + n - 2, n - 2) * comb(q + n - 2, n - 2)
     quotient, remainder = divmod(numerator, n - 1)
     assert remainder == 0, f"dimension formula not integral at n={n}, p={p}, q={q}"
@@ -37,8 +36,7 @@ def eigenvalue(n: int, p: int, q: int) -> int:
     """Kohn Laplacian eigenvalue 2q(p + n - 1) of the (p, q) eigenspace."""
     if n < 2:
         raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
-    if p < 0 or q < 0:
-        raise ValueError("bidegree components must be nonnegative")
+    check_bidegree(p, q)
     return 2 * q * (p + n - 1)
 
 

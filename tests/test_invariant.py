@@ -68,6 +68,39 @@ def test_exponent_profile_totals():
         assert sum(profile) == comb(degree + 2, 2)
 
 
+def test_exponent_profile_rejects_a_negative_degree():
+    # A negative degree must not read (or memoize) a row built for another.
+    space = make_lens_space(3, 5, [1, 2, 3])
+    for degree in (-1, -2):
+        with pytest.raises(ValueError, match="bidegree components must be nonnegative"):
+            exponent_profile(space, degree)
+    rows = [exponent_profile(space, degree) for degree in range(4)]
+    with pytest.raises(ValueError, match="bidegree components must be nonnegative"):
+        exponent_profile(space, -2)
+    assert [exponent_profile(space, degree) for degree in range(4)] == rows
+
+
+def test_n3_routes_build_only_the_weight_profiles(monkeypatch):
+    # N(p, q) is a dot product of two rows of one profile: no route builds
+    # a profile of the negated weights.
+    from kohnspec import spectrum
+
+    built = []
+    rows = invariant._profile_rows
+
+    def recorded(weights, k):
+        built.append(weights)
+        return rows(weights, k)
+
+    monkeypatch.setattr(invariant, "_profile_rows", recorded)
+    monkeypatch.setattr(spectrum, "_profile_rows", recorded)
+    space = make_lens_space(3, 5, [1, 2, 3])
+    dim_invariant_dp(space, 4, 3)
+    dim_grid(space, 6, 5)
+    spectrum.lens_counting(space, 2000)
+    assert built and set(built) == {space.weights, space.weights + (0,)}
+
+
 def literal_profile_rows(weights, k, cap):
     """Profile rows 0..cap, each weight a pass of new[t][r] += new[t-1][r-w]."""
     rows = [[0] * k for _ in range(cap + 1)]
@@ -298,13 +331,13 @@ def test_dim_grid_matches_the_convolution_cell_by_cell(monkeypatch, space):
         for p in range(p_max + 1)
     )
     calls = []
-    correlate = invariant._correlate_zero
+    dot = invariant._dot
 
-    def counted(a, b, k):
-        calls.append(k)
-        return correlate(a, b, k)
+    def counted(a, b):
+        calls.append(len(a))
+        return dot(a, b)
 
-    monkeypatch.setattr(invariant, "_correlate_zero", counted)
+    monkeypatch.setattr(invariant, "_dot", counted)
     assert dim_grid(space, p_max, q_max) == expected
     assert len(calls) <= (p_max + 1) * (q_max + 1)
     assert dim_grid(space, -1, q_max) == () and dim_grid(space, 2, -1) == ((), (), ())

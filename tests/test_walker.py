@@ -254,12 +254,12 @@ def test_budget_charges_each_evaluation_before_the_walk(monkeypatch):
 
 def test_count_charges_each_pass_over_the_profile_tables():
     space = make_lens_space(3, 2, [1, 1, 1])
-    # half = 1e14: 3 isqrt(half) line evaluations per region.  Each of the
-    # two cumulative profiles fills m = (n + 1) k rows and interpolates at
-    # most `lines` more, each plain profile builds isqrt(half) + 1 rows,
-    # every row at (n + 1)(k + 6); each line evaluation is a correlation of k.
+    # half = 1e14: 3 isqrt(half) line evaluations per region.  The one
+    # cumulative profile fills m = (n + 1) k rows and interpolates at most
+    # `lines` more, the one plain profile builds isqrt(half) + 1 rows,
+    # every row at (n + 1)(k + 6); each line evaluation is a dot product of k.
     m, row, lines = 8, 32, 3 * 10**7
-    charge = 2 * row * (m + lines) + 2 * row * (10**7 + 1) + 2 * 2 * lines
+    charge = row * (m + lines) + row * (10**7 + 1) + 2 * 2 * lines
     assert spectrum._work(space, [10**14]) == charge
     with pytest.raises(ResourceLimit, match=f"work {charge} exceeds"):
         lens_counting(space, 2 * 10**14)
