@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kohnspec.core import ResourceLimit, UnsupportedDimension, make_lens_space
-from kohnspec import invariant
+from kohnspec import invariant, spectrum
 from kohnspec.invariant import (
     _profile_rows,
     base_dim_table,
@@ -83,8 +83,6 @@ def test_exponent_profile_rejects_a_negative_degree():
 def test_n3_routes_build_only_the_weight_profiles(monkeypatch):
     # N(p, q) is a dot product of two rows of one profile: no route builds
     # a profile of the negated weights.
-    from kohnspec import spectrum
-
     built = []
     rows = invariant._profile_rows
 
