@@ -92,7 +92,12 @@ def _emit_json(obj) -> None:
 def cmd_dim(args) -> int:
     method = {"auto": dim_invariant, "dp": dim_invariant_dp}.get(args.method)
     if method is not None:
-        print(method(args.lens, args.p, args.q))
+        space = args.lens
+        if args.method == "dp" or space.n > 2:
+            # The profile fills rows t < nk, then interpolates rows p, q and below.
+            rows = min(max(args.p, args.q) + 1, space.n * space.k) + 2
+            charge(spectrum._profile_work(space, rows), _resolve_budget(args))
+        print(method(space, args.p, args.q))
     else:
         charged = {
             "recurrence": dim_invariant_recurrence,
@@ -228,6 +233,10 @@ def cmd_span(args) -> int:
 
 
 def cmd_genfunc_check(args) -> int:
+    space, cells = args.lens, (args.cutoff + 1) ** 2
+    # The grid (k per n >= 3 cell), then per point the series and k closed-form terms.
+    grid = cells * (space.k if space.n > 2 else 1)
+    charge(grid + args.points * (cells + space.k * space.n), _resolve_budget(args))
     points = genfunc.unit_disk_points(args.points, radius=0.5, seed=args.seed)
     deviation = genfunc.max_deviation(
         args.lens, points, p_max=args.cutoff, q_max=args.cutoff

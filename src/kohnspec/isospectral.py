@@ -1,17 +1,19 @@
 """CR isometry/isospectrality decisions for lens spaces.
 
 The arithmetic certificate of a CR isometry is a unit a mod k and a
-coordinate permutation carrying one weight tuple to the other.  For
-3-dimensional lens spaces with prime k this is equivalent to equality of
-spectra, of all invariant dimensions, and of the congruence invariant d;
-the machinery here also exposes the residue-count matrices C^lambda and
-the row-shift operator whose span argument drives that equivalence.
+coordinate permutation carrying one weight tuple to the other, found
+among at most n candidate units.  For 3-dimensional lens spaces with
+prime k this is equivalent to equality of spectra, of all invariant
+dimensions (decided exactly here for every n), and of the congruence
+invariant d; the machinery here also exposes the residue-count matrices
+C^lambda and the row-shift operator whose span argument drives that
+equivalence.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
 from .core import (
     DEFAULT_BUDGET,
@@ -23,7 +25,8 @@ from .core import (
     gcd_invariant,
 )
 from .invariant import base_dim_table, dim_grid
-from .spectrum import _bidegrees_for, _check_eigenvalue, _sieve_work, multiplicity_table
+from .spectrum import (_bidegrees_for, _check_eigenvalue, _profile_work, _sieve_work,
+                       multiplicity_table)
 
 
 @dataclass(frozen=True)
@@ -38,12 +41,6 @@ class IsometryWitness:
     sigma: tuple[int, ...]
 
 
-def _units(k: int) -> list[int]:
-    if k == 1:
-        return [1]
-    return [a for a in range(1, k) if math.gcd(a, k) == 1]
-
-
 def verify_witness(space: LensSpace, other: LensSpace, witness: IsometryWitness) -> bool:
     """Recompute a * l_sigma(i) mod k and compare against the target weights."""
     k = space.k
@@ -54,21 +51,28 @@ def verify_witness(space: LensSpace, other: LensSpace, witness: IsometryWitness)
 
 
 def condition4_witness(space: LensSpace, other: LensSpace) -> IsometryWitness | None:
-    """Search exhaustively for the isometry certificate (a, sigma).
+    """The lexicographically smallest isometry certificate (a, sigma), or None.
 
-    Scans units a ascending and permutations in lexicographic order, so a
-    returned witness is the lexicographically smallest one.  Returns None
-    when no certificate exists.
+    A valid a maps l_1 onto some l'_i, so it is one of the at most n units
+    l'_i / l_1 mod k; they are tried ascending, and the first whose image
+    a l sorts to the sorted target weights gives the witness.  Each target
+    position then takes the smallest unused source index with its residue,
+    which makes sigma the lexicographically smallest.  O(n^2 log n), with
+    no dependence on k; k = 1 gives a = 1.
     """
     if space.k != other.k or space.n != other.n:
         raise MismatchedSpaces(
             f"cannot compare {space} with {other}: k and n must agree"
         )
-    for a in _units(space.k):
-        for sigma in permutations(range(1, space.n + 1)):
-            witness = IsometryWitness(a=a, sigma=sigma)
-            if verify_witness(space, other, witness):
-                return witness
+    k, target = space.k, sorted(other.weights)
+    inverse = pow(space.weights[0], -1, k)
+    for a in sorted({w * inverse % k for w in other.weights}) if k > 1 else [1]:
+        image = [a * l % k for l in space.weights]
+        if sorted(image) == target:
+            sources: dict[int, list[int]] = {}
+            for s, r in enumerate(image, 1):
+                sources.setdefault(r, []).append(s)
+            return IsometryWitness(a=a, sigma=tuple(sources[r].pop(0) for r in other.weights))
     return None
 
 
@@ -87,23 +91,30 @@ def spectra_equal_up_to(
     return tables[0] == tables[1]
 
 
-def dims_equal(space: LensSpace, other: LensSpace, p_max: int, q_max: int) -> bool:
-    """Whether all invariant dimensions agree.
+def dims_equal(space: LensSpace, other: LensSpace) -> bool:
+    """Whether all invariant dimensions agree: a complete decision for every n.
 
-    For n = 2 this is a complete decision: the shift reduction means two
-    spaces agree everywhere iff they share the congruence invariant d and
-    the k x k base table, so p_max/q_max are ignored.  For n >= 3 only the
-    given finite grid is compared (a partial check).
+    For n = 2 the shift reduction means two spaces agree everywhere iff
+    they share the congruence invariant d and the k x k base table.  For
+    n >= 3, profile row e + ck is a polynomial of degree < n in c, so on
+    each residue class of (p, q) mod k, N(p, q) is a polynomial of degree
+    < n in floor(p/k) and in floor(q/k), fixed by its values at p, q < nk;
+    dim(p, q) = N(p, q) - N(p-1, q-1) fixes N there, so the dimensions on
+    the nk x nk box decide.  Charged against `DEFAULT_BUDGET` before any
+    table is built: k^2 per base table, or per box (nk)^2 dot products of
+    k entries plus its nk profile rows.
     """
     if space.k != other.k or space.n != other.n:
         raise MismatchedSpaces(
             f"cannot compare {space} with {other}: k and n must agree"
         )
-    if space.n == 2:
-        return gcd_invariant(space) == gcd_invariant(other) and base_dim_table(
-            space
-        ) == base_dim_table(other)
-    return dim_grid(space, p_max, q_max) == dim_grid(other, p_max, q_max)
+    n, k = space.n, space.k
+    if n == 2:
+        charge(2 * k * k, DEFAULT_BUDGET)
+        return (gcd_invariant(space) == gcd_invariant(other)
+                and base_dim_table(space) == base_dim_table(other))
+    charge(2 * ((n * k) ** 2 * k + _profile_work(space, n * k)), DEFAULT_BUDGET)
+    return dim_grid(space, n * k - 1, n * k - 1) == dim_grid(other, n * k - 1, n * k - 1)
 
 
 def d_invariant_check(space: LensSpace, other: LensSpace) -> bool:
@@ -281,7 +292,7 @@ def classify_all(
         raise InvalidOrder(f"classification needs k >= 2, got {k}")
     charge(k // 2, budget)
     charge(_totient(k) ** 2, budget)
-    units = _units(k)
+    units = [a for a in range(1, k) if math.gcd(a, k) == 1]
     unclassified = set(product(units, repeat=2))
     classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
     while unclassified:

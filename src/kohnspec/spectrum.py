@@ -22,7 +22,6 @@ too.  Tables, counts and comparisons check their work with `core.charge`.
 """
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from functools import partial
@@ -233,6 +232,11 @@ def _counts(spaces, lams, budget: int | None) -> list[list[int]]:
 _ROW_PASS = 6
 
 
+def _profile_work(space: LensSpace, rows: int) -> int:
+    """The charge of building `rows` rows of the space's residue profile."""
+    return rows * space.n * (space.k + _ROW_PASS)
+
+
 def _work(space: LensSpace, halves: list[int]) -> int:
     """The charge of counting the space at every half-cutoff in `halves`.
 
@@ -342,33 +346,12 @@ def spectrum_to_csv(table: SpectrumTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spectrum_to_json_obj(table: SpectrumTable, contributors: bool = False):
-    """JSON-serializable view of the table, optionally with provenance.
-
-    It holds every entry at once; `write_json` prints the same document
-    one eigenvalue at a time.
-    """
-    rows = []
-    for lam, m in table.by_eigenvalue.items():
-        row = {"lambda": lam, "multiplicity": m}
-        if contributors:
-            row["contributors"] = [
-                {"p": c.p, "q": c.q, "dim": c.dim} for c in table.contributors(lam)
-            ]
-        rows.append(row)
-    return {
-        "lens": str(table.space),
-        "lambda_max": table.lambda_max,
-        "entries": rows,
-    }
-
-
 _ENTRY = '    {\n      "lambda": %d,\n      "multiplicity": %d'
 _CELL = '        {\n          "p": %d,\n          "q": %d,\n          "dim": %d\n        }'
 
 
 def write_json(table: SpectrumTable, out, contributors: bool = False) -> None:
-    """Write `json.dumps(spectrum_to_json_obj(table, contributors), indent=2)`.
+    """Write the table as JSON, laid out as `json.dumps(..., indent=2)` would.
 
     The indent=2 layout is spelled out here, so the document is streamed
     one eigenvalue at a time, and provenance costs O(sqrt(lam)) memory
@@ -385,10 +368,3 @@ def write_json(table: SpectrumTable, out, contributors: bool = False) -> None:
             out.write(',\n      "contributors": [\n%s\n      ]' % ",\n".join(cells))
         out.write("\n    }")
     out.write("\n  ]\n}" if table.by_eigenvalue else "]\n}")
-
-
-def spectrum_to_json(table: SpectrumTable, contributors: bool = False) -> str:
-    """The text `write_json` writes."""
-    buffer = io.StringIO()
-    write_json(table, buffer, contributors)
-    return buffer.getvalue()

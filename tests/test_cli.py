@@ -15,6 +15,7 @@ from kohnspec import isospectral, spectrum
 from kohnspec.cli import _is_prime, build_parser, main
 from kohnspec.core import DEFAULT_BUDGET, parse_lens_spec
 from kohnspec.invariant import dim_invariant_dp
+from test_spectrum import spectrum_to_json_obj
 
 
 def run(capsys, *argv):
@@ -79,7 +80,7 @@ def test_spectrum_contributors_json(capsys):
 def test_spectrum_json_is_the_json_module_layout(capsys, flag):
     code, out, _ = run(capsys, "spectrum", "--lens", "7:1,3", "--lambda-max", "60", flag)
     table = spectrum.build_spectrum(parse_lens_spec("7:1,3"), 60)
-    obj = spectrum.spectrum_to_json_obj(table, contributors=flag == "--contributors")
+    obj = spectrum_to_json_obj(table, contributors=flag == "--contributors")
     assert code == 0 and out == json.dumps(obj, indent=2) + "\n"
 
 
@@ -511,6 +512,55 @@ def test_classify_and_bounds_check_over_the_default_budget_exit_2_at_once():
     assert proc.returncode == 2 and proc.stdout == ""
     assert "exceeds budget 10000000" in proc.stderr
     assert elapsed < 1.0
+
+
+def test_isospec_witness_tries_n_units_at_most():
+    # 10 weights: the old phi(k) n! scan visited 36M permutations.
+    ramp, flat = "11:" + ",".join(map(str, range(1, 11))), "11:" + "1," * 9 + "2"
+    proc, elapsed = run_process("isospec", "--lens", ramp, "--lens", flat, "--lambda-max", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["witness"] is None
+    assert elapsed < 1.0
+    # At k = 10000019 the witness is found at once; the sieve is then refused.
+    proc, elapsed = run_process("isospec", "--lens", "10000019:1,2", "--lens", "10000019:1,3",
+                                "--lambda-max", "4")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds budget 10000000" in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_dim_and_genfunc_check_over_the_default_budget_exit_2_at_once():
+    proc, elapsed = run_process("dim", "--lens", "10007:1,2,3", "--p", "100000", "--q", "100000",
+                                "--method", "dp")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds budget 10000000" in proc.stderr
+    assert elapsed < 1.0
+    proc, elapsed = run_process("genfunc-check", "--lens", "7:1,2", "--cutoff", "100000")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds budget 10000000" in proc.stderr
+    assert elapsed < 1.0
+
+
+def test_dim_and_genfunc_check_charge_their_work(capsys, monkeypatch):
+    # dp, and auto for n >= 3, price 3 (7 + 6) per profile row: 4 + 2 rows here.
+    for method in ("dp", "auto"):
+        argv = ["dim", "--lens", "7:1,2,3", "--p", "3", "--q", "1", "--method", method]
+        code, out, err = run(capsys, *argv, "--budget", "233")
+        assert code == 2 and out == "" and "work 234 exceeds budget 233" in err
+        assert run(capsys, *argv, "--budget", "234")[:2] == (0, "3\n")
+    # The n = 2 closed form builds no profile.
+    code, out, _ = run(capsys, "dim", "--lens", "7:1,2", "--p", "3", "--q", "1",
+                       "--budget", "0")
+    assert (code, out) == (0, "0\n")
+    # (cutoff + 1)^2 cells, times k at n = 3, and per point the series and k n terms.
+    monkeypatch.setenv("KOHN_LENS_BUDGET", str(9 * 7 + 2 * (9 + 7 * 3) - 1))
+    code, out, err = run(capsys, "genfunc-check", "--lens", "7:1,2,3", "--cutoff", "2",
+                         "--points", "2")
+    assert code == 2 and out == "" and "work 123 exceeds budget 122" in err
+    monkeypatch.setenv("KOHN_LENS_BUDGET", "123")
+    code, out, _ = run(capsys, "genfunc-check", "--lens", "7:1,2,3", "--cutoff", "2",
+                       "--points", "2")
+    assert code == 0 and json.loads(out)["cutoff"] == 2
 
 
 def test_span_and_cmatrix_budget_flags(capsys):

@@ -4,7 +4,7 @@ from itertools import permutations, product
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kohnspec.core import (
     InvalidEigenvalue,
@@ -14,6 +14,7 @@ from kohnspec.core import (
     UnsupportedDimension,
     make_lens_space,
 )
+from kohnspec.invariant import dim_cell, dim_invariant_bruteforce
 from kohnspec.isospectral import (
     IsometryWitness,
     _totient,
@@ -74,6 +75,42 @@ def test_witness_sound_and_complete(k, seed_a, seed_b):
         assert verify_witness(first, second, witness)
 
 
+def scan_witness(space, other):
+    """The phi(k) n! scan: units ascending, permutations in lexicographic order."""
+    k = space.k
+    for a in units_of(k) if k > 1 else [1]:
+        for sigma in permutations(range(1, space.n + 1)):
+            witness = IsometryWitness(a=a, sigma=sigma)
+            if verify_witness(space, other, witness):
+                return witness
+    return None
+
+
+@st.composite
+def same_order_pairs(draw):
+    n, k = draw(st.integers(2, 4)), draw(st.integers(1, 16))
+    units = units_of(k) if k > 1 else [1]
+    weights = st.lists(st.sampled_from(units), min_size=n, max_size=n)
+    first = draw(weights)
+    if draw(st.booleans()):  # An isometric image, so witnesses are common.
+        a = draw(st.sampled_from(units))
+        second = draw(st.permutations([a * w for w in first]))
+    else:
+        second = draw(weights)
+    return make_lens_space(n, k, first), make_lens_space(n, k, second)
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_order_pairs())
+@example((make_lens_space(3, 1, [1, 1, 1]), make_lens_space(3, 1, [1, 1, 1])))
+@example((make_lens_space(4, 5, [1, 1, 2, 2]), make_lens_space(4, 5, [4, 2, 4, 2])))
+def test_witness_is_the_scan_witness(pair):
+    witness = condition4_witness(*pair)
+    assert witness == scan_witness(*pair)
+    if witness is not None:
+        assert verify_witness(*pair, witness)
+
+
 def test_spectra_equal_examples():
     space = make_lens_space(2, 5, [1, 2])
     assert spectra_equal_up_to(space, space, 200)
@@ -89,18 +126,52 @@ def test_spectra_comparison_across_different_k():
 
 
 def test_dims_equal_examples():
-    assert dims_equal(make_lens_space(2, 3, [1, 2]), make_lens_space(2, 3, [2, 1]), 0, 0)
+    assert dims_equal(make_lens_space(2, 3, [1, 2]), make_lens_space(2, 3, [2, 1]))
     assert not dims_equal(
-        make_lens_space(2, 7, [1, 2]), make_lens_space(2, 7, [1, 3]), 0, 0
+        make_lens_space(2, 7, [1, 2]), make_lens_space(2, 7, [1, 3])
     )
     space = make_lens_space(3, 5, [1, 2, 3])
-    assert dims_equal(space, space, 8, 8)
+    assert dims_equal(space, space)
 
 
 def test_dims_equal_grid_path_detects_difference():
     first = make_lens_space(3, 7, [1, 1, 1])
     second = make_lens_space(3, 7, [1, 2, 3])
-    assert not dims_equal(first, second, 10, 10)
+    assert not dims_equal(first, second)
+
+
+# Weights 1 + jm mod m^2: 5-dimensional lens spaces whose invariant
+# dimensions agree everywhere, with no CR isometry between them.
+ISOSPECTRAL_NON_ISOMETRIC = [((49, [1, 8, 22]), (49, [1, 8, 36])),
+                             ((64, [1, 9, 25]), (64, [1, 9, 49]))]
+
+
+@pytest.mark.parametrize("pair", ISOSPECTRAL_NON_ISOMETRIC)
+def test_isospectral_non_isometric_5d_pairs(pair):
+    first, second = (make_lens_space(3, k, w) for k, w in pair)
+    assert dims_equal(first, second)
+    assert condition4_witness(first, second) is None
+    assert condition4_witness(second, first) is None
+    assert spectra_equal_up_to(first, second, 600)
+    for space in (first, second):
+        cell = dim_cell(space)
+        assert all(dim_invariant_bruteforce(space, p, q) == cell(p, q)
+                   for p in range(9) for q in range(9))
+
+
+def test_dims_equal_separates_a_5d_pair():
+    first, second = make_lens_space(3, 49, [1, 8, 22]), make_lens_space(3, 49, [1, 8, 29])
+    assert not dims_equal(first, second)
+    assert not spectra_equal_up_to(first, second, 600)
+
+
+def test_dims_equal_charges_the_box_before_any_grid(monkeypatch):
+    from kohnspec import isospectral
+
+    monkeypatch.setattr(isospectral, "dim_grid", None)
+    space = make_lens_space(3, 200, [1, 3, 7])
+    with pytest.raises(ResourceLimit, match="exceeds budget 10000000"):
+        dims_equal(space, space)
 
 
 def test_d_invariant_examples():

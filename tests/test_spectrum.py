@@ -16,13 +16,31 @@ from kohnspec.spectrum import (
     multiplicity,
     multiplicity_table,
     spectrum_to_csv,
-    spectrum_to_json,
-    spectrum_to_json_obj,
     write_json,
 )
 from kohnspec.sphere import dim_hpq, sphere_counting
 
 SPHERE3 = make_lens_space(2, 1, [1, 1])
+
+
+def spectrum_to_json_obj(table: SpectrumTable, contributors: bool = False):
+    """The whole document `write_json` streams, as one JSON-serializable object."""
+    rows = []
+    for lam, m in table.by_eigenvalue.items():
+        row = {"lambda": lam, "multiplicity": m}
+        if contributors:
+            row["contributors"] = [
+                {"p": c.p, "q": c.q, "dim": c.dim} for c in table.contributors(lam)
+            ]
+        rows.append(row)
+    return {"lens": str(table.space), "lambda_max": table.lambda_max, "entries": rows}
+
+
+def spectrum_to_json(table: SpectrumTable, contributors: bool = False) -> str:
+    """The text `write_json` writes."""
+    buffer = io.StringIO()
+    write_json(table, buffer, contributors)
+    return buffer.getvalue()
 
 
 def test_sphere_table_small():
