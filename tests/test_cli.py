@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -570,6 +571,14 @@ def test_span_and_cmatrix_budget_flags(capsys):
     assert code == 0 and out == "15\n"
     code, out, err = run(capsys, "cmatrix", "--k", "3", "--lambda", "6", "--budget", "9")
     assert code == 2 and out == "" and "work 10 exceeds budget 9" in err
+
+
+def test_building_the_parser_freezes_start_up_objects():
+    build_parser.cache_clear()
+    gc.unfreeze()
+    assert gc.get_freeze_count() == 0
+    build_parser()
+    assert gc.get_freeze_count() > 0
 
 
 def test_cli_import_leaves_numpy_out():
