@@ -239,9 +239,7 @@ def cmd_genfunc_check(args) -> int:
     grid = cells * (space.k if space.n > 2 else 1)
     charge(grid + args.points * (cells + space.k * space.n), _resolve_budget(args))
     points = genfunc.unit_disk_points(args.points, radius=0.5, seed=args.seed)
-    deviation = genfunc.max_deviation(
-        args.lens, points, p_max=args.cutoff, q_max=args.cutoff
-    )
+    deviation = genfunc.max_deviation(space, points, p_max=args.cutoff, q_max=args.cutoff)
     _emit_json(
         {
             "lens": str(args.lens),
