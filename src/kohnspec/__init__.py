@@ -46,7 +46,6 @@ from .spectrum import (
 from .asymptotics import (
     BoundCheck,
     BoundParams,
-    QuadratureConfig,
     RatioSample,
     RemainderSample,
     check_lower_bound,

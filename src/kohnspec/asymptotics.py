@@ -63,17 +63,6 @@ class RatioSample:
         return float(self.ratio) if self.ratio is not None else math.nan
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    truncation: float = 50.0
-    tolerance: float = 1e-10
-    max_refinements: int = 48
-
-    def __post_init__(self):
-        if self.truncation <= 0 or self.tolerance <= 0:
-            raise ValueError("truncation and tolerance must be positive")
-
-
 def weyl_ratio_series(
     space: LensSpace,
     lambda_max: int,
@@ -148,7 +137,12 @@ def _adaptive_simpson(
     return recurse(a, fa, b, fb, m, fm, whole, tol, max_depth)
 
 
-def universal_constant(n: int, cfg: QuadratureConfig | None = None) -> float:
+# `universal_constant` integrates over [-T, T], T = 50, to tolerance 1e-10
+# with at most 48 halvings.
+_TRUNCATION, _TOLERANCE, _MAX_REFINEMENTS = 50.0, 1e-10, 48
+
+
+def universal_constant(n: int) -> float:
     """The dimension-dependent constant of the Weyl asymptotic.
 
     (n-1) / (n (2 pi)^n Gamma(n+1)) times the integral over the real line
@@ -157,14 +151,8 @@ def universal_constant(n: int, cfg: QuadratureConfig | None = None) -> float:
     """
     if n < 2:
         raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
-    if cfg is None:
-        cfg = QuadratureConfig()
     integral = _adaptive_simpson(
-        _weyl_integrand(n),
-        -cfg.truncation,
-        cfg.truncation,
-        cfg.tolerance,
-        cfg.max_refinements,
+        _weyl_integrand(n), -_TRUNCATION, _TRUNCATION, _TOLERANCE, _MAX_REFINEMENTS
     )
     prefactor = (n - 1) / (n * (2.0 * math.pi) ** n * math.factorial(n))
     return prefactor * integral

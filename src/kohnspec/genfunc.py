@@ -2,10 +2,11 @@
 
 The closed form averages rational terms over the group: (1/k) times the
 sum over m of (1 - zw) / prod_i (1 - zeta^(m l_i) z)(1 - zeta^(-m l_i) w).
-Evaluations here are double precision.  The series side sums exact
-dimensions from `dim_grid` (for n = 2 the paper's closed-form count,
-which the tests check against the residue convolution), so it is an
-independent cross-check of the rational closed form.
+Evaluations here are double precision.  The series side sums the exact
+dimensions of the square `dim_grid` of p, q <= one cutoff (for n = 2 the
+paper's closed-form count, which the tests check against the residue
+convolution), so it is an independent cross-check of the rational
+closed form.  Sample points lie in the disk of radius 0.5.
 """
 from __future__ import annotations
 
@@ -13,12 +14,14 @@ import cmath
 import math
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product, repeat
+from operator import mul
 
 from .core import DomainViolation, InsufficientSamples, InvalidOrder, LensSpace
 from .invariant import dim_grid
 
 MODULUS_BOUND = 0.9
+DISK_RADIUS = 0.5  # of the sample points, well inside the bound
 
 
 def _check_point(z: complex, w: complex) -> None:
@@ -55,47 +58,34 @@ def genfunc_closed(space: LensSpace, z: complex, w: complex) -> complex:
 
 
 @lru_cache(maxsize=16)
-def _series_grid(
-    space: LensSpace, p_max: int, q_max: int
-) -> tuple[tuple[int, ...], ...]:
-    """dim H^G_(p,q) for p <= p_max, q <= q_max, by `dim_grid`."""
-    return dim_grid(space, p_max, q_max)
+def _series_grid(space: LensSpace, cutoff: int) -> tuple[tuple[int, ...], ...]:
+    """dim H^G_(p,q) for p, q <= cutoff, by `dim_grid`."""
+    return dim_grid(space, cutoff)
 
 
-def genfunc_series(
-    space: LensSpace, z: complex, w: complex, p_max: int, q_max: int
-) -> complex:
-    """Truncated power series sum of dim H^G_(p,q) z^p w^q.
+def genfunc_series(space: LensSpace, z: complex, w: complex, cutoff: int) -> complex:
+    """Truncated power series sum of dim H^G_(p,q) z^p w^q over p, q <= cutoff.
 
-    The integer grid of dimensions is built once per (space, p_max,
-    q_max) and kept for the next sample points (a small bounded cache).
+    The integer grid of dimensions is built once per (space, cutoff) and
+    kept for the next sample points (a small bounded cache).  Each row is
+    summed against the powers of w, and the row sums against those of z.
     Inside |z|, |w| <= 0.9 the dropped tail is geometric: the dimensions
     grow polynomially while |z|^p |w|^q decays, so cutoffs around 60 put
     the truncation error far below double-precision comparisons at
     moduli <= 0.5.
     """
     _check_point(z, w)
-    total = 0j
-    zp = 1 + 0j
-    for dims in _series_grid(space, p_max, q_max):
-        row = 0j
-        wq = 1 + 0j
-        for dim in dims:
-            row += dim * wq
-            wq *= w
-        total += zp * row
-        zp *= z
-    return total
+    w_powers = [*accumulate(repeat(w, cutoff), mul, initial=1 + 0j)]
+    rows = (sum(map(mul, dims, w_powers), 0j) for dims in _series_grid(space, cutoff))
+    return sum(map(mul, accumulate(repeat(z, cutoff), mul, initial=1 + 0j), rows), 0j)
 
 
-def unit_disk_points(
-    count: int, radius: float = 0.5, seed: int = 12345
-) -> list[tuple[complex, complex]]:
-    """Deterministic pseudorandom (z, w) pairs inside the given disk."""
+def unit_disk_points(count: int, seed: int = 12345) -> list[tuple[complex, complex]]:
+    """Deterministic pseudorandom (z, w) pairs inside the disk of radius 0.5."""
     rng = random.Random(seed)
 
     def one() -> complex:
-        r = radius * math.sqrt(rng.random())
+        r = DISK_RADIUS * math.sqrt(rng.random())
         theta = 2.0 * math.pi * rng.random()
         return r * cmath.exp(1j * theta)
 
@@ -162,14 +152,9 @@ def _numerical_rank(matrix: list[list[complex]]) -> int:
     return rank
 
 
-def max_deviation(
-    space: LensSpace,
-    points,
-    p_max: int = 60,
-    q_max: int = 60,
-) -> float:
+def max_deviation(space: LensSpace, points, cutoff: int) -> float:
     """Largest |closed - series| over the sample points."""
     return max(
-        abs(genfunc_closed(space, z, w) - genfunc_series(space, z, w, p_max, q_max))
+        abs(genfunc_closed(space, z, w) - genfunc_series(space, z, w, cutoff))
         for z, w in points
     )

@@ -114,7 +114,7 @@ def dims_equal(space: LensSpace, other: LensSpace) -> bool:
         return (gcd_invariant(space) == gcd_invariant(other)
                 and base_dim_table(space) == base_dim_table(other))
     charge(2 * ((n * k) ** 2 * k + _profile_work(space, n * k)), DEFAULT_BUDGET)
-    return dim_grid(space, n * k - 1, n * k - 1) == dim_grid(other, n * k - 1, n * k - 1)
+    return dim_grid(space, n * k - 1) == dim_grid(other, n * k - 1)
 
 
 def d_invariant_check(space: LensSpace, other: LensSpace) -> bool:

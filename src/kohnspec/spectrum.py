@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import isqrt
 from operator import add
@@ -290,11 +289,10 @@ def _count_recurrence(space: LensSpace, halves: list[int]) -> list[int]:
     admissible residues, k/d per full block and `part` in the last one.
     """
     k, d = space.k, gcd_invariant(space)
-    base = base_dim_table(space)
-    fixed_p = [list(accumulate(row, initial=0)) for row in base]
-    fixed_q = [list(accumulate(col, initial=0)) for col in zip(*base)]
+    # One prefix table serves rows and columns: the base table is symmetric.
+    prefix = [list(accumulate(row, initial=0)) for row in base_dim_table(space)]
 
-    def line(prefix, a: int, length: int) -> int:
+    def line(a: int, length: int) -> int:
         """Sum of dim over the first `length` cells of the line with index a."""
         r = a % k
         c, e = divmod(length, k)
@@ -307,9 +305,9 @@ def _count_recurrence(space: LensSpace, halves: list[int]) -> list[int]:
 
     # Row q holds p = 0..top - 1; column v = p + 1 holds q = 0..top.
     def column(v: int, top: int) -> int:
-        return line(fixed_p, v - 1, top + 1)
+        return line(v - 1, top + 1)
 
-    return [_sum_lines(half, 1, partial(line, fixed_q), column) for half in halves]
+    return [_sum_lines(half, 1, line, column) for half in halves]
 
 
 def _count_convolution(space: LensSpace, halves: list[int]) -> list[int]:

@@ -212,12 +212,12 @@ def test_criterion_8_c_matrix_anchors():
 
 
 def test_criterion_9_generating_function():
-    points = unit_disk_points(20, radius=0.5, seed=12345)
+    points = unit_disk_points(20, seed=12345)
     spaces = [make_lens_space(2, 1, [1, 1])]
     for k in range(2, 8):
         spaces.extend(make_lens_space(2, k, rep) for rep in classify_all(k))
     spaces.append(make_lens_space(3, 3, [1, 1, 2]))
-    worst = max(max_deviation(space, points, 60, 60) for space in spaces)
+    worst = max(max_deviation(space, points, 60) for space in spaces)
     assert worst < 1e-9, worst
     ranks = {k: independence_probe(k, unit_disk_points(k * (k + 1), seed=2024)) for k in (2, 3, 5)}
     assert ranks == {2: 3, 3: 6, 5: 15}, ranks

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from kohnspec.asymptotics import (
     BoundCheck,
     BoundParams,
-    QuadratureConfig,
     check_lower_bound,
     check_upper_bound,
     lemma_ratio_decay,
@@ -18,6 +17,7 @@ from kohnspec.asymptotics import (
     universal_constant,
     weyl_constant_experiment,
     weyl_ratio_series,
+    _adaptive_simpson,
     _weyl_integrand,
 )
 from kohnspec.core import (
@@ -47,15 +47,14 @@ def test_integrand_no_overflow_for_large_n():
     assert math.isfinite(f(-40.0))
 
 
-def test_universal_constant_stable_under_truncation():
-    u40 = universal_constant(3, QuadratureConfig(truncation=40.0))
-    u60 = universal_constant(3, QuadratureConfig(truncation=60.0))
-    assert abs(u40 - u60) < 1e-8
+def test_universal_constant_matches_the_closed_form_at_n3():
+    # u_3 = 1/(144 pi): the quadrature's truncation and tolerance lose ~1e-13.
+    assert abs(universal_constant(3) * 144 * math.pi - 1) < 1e-12
 
 
 def test_quadrature_refinement_limit():
     with pytest.raises(NonConvergence):
-        universal_constant(2, QuadratureConfig(tolerance=1e-14, max_refinements=2))
+        _adaptive_simpson(_weyl_integrand(2), -50.0, 50.0, 1e-14, 2)
 
 
 def test_bound_examples_hold():

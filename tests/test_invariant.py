@@ -94,7 +94,7 @@ def test_n3_routes_build_only_the_weight_profiles(monkeypatch):
     monkeypatch.setattr(spectrum, "_profile_rows", recorded)
     space = make_lens_space(3, 5, [1, 2, 3])
     dim_invariant_dp(space, 4, 3)
-    dim_grid(space, 6, 5)
+    dim_grid(space, 6)
     spectrum.lens_counting(space, 2000)
     assert built and set(built) == {space.weights, space.weights + (0,)}
 
@@ -307,6 +307,13 @@ def test_base_table_is_cached_and_consistent():
             assert table[p][q] == dim_invariant_dp(space, p, q)
 
 
+def test_base_table_cache_is_bounded():
+    spaces = [make_lens_space(2, k, [1, 2]) for k in range(3, 27, 2)]
+    for space in spaces:
+        assert base_dim_table(space)[0][0] == 1
+    assert len(spaces) > 8 and base_dim_table.cache_info().currsize <= 8
+
+
 def test_recurrence_needs_n2():
     with pytest.raises(UnsupportedDimension):
         dim_invariant_recurrence(make_lens_space(3, 5, [1, 2, 3]), 1, 1)
@@ -323,10 +330,9 @@ def test_recurrence_needs_n2():
     ],
 )
 def test_dim_grid_matches_the_convolution_cell_by_cell(monkeypatch, space):
-    p_max, q_max = 13, 9
+    size = 13
     expected = tuple(
-        tuple(dim_invariant_dp(space, p, q) for q in range(q_max + 1))
-        for p in range(p_max + 1)
+        tuple(dim_invariant_dp(space, p, q) for q in range(size + 1)) for p in range(size + 1)
     )
     calls = []
     dot = invariant._dot
@@ -336,7 +342,7 @@ def test_dim_grid_matches_the_convolution_cell_by_cell(monkeypatch, space):
         return dot(a, b)
 
     monkeypatch.setattr(invariant, "_dot", counted)
-    assert dim_grid(space, p_max, q_max) == expected
-    assert len(calls) <= (p_max + 1) * (q_max + 1)
-    assert dim_grid(space, -1, q_max) == () and dim_grid(space, 2, -1) == ((), (), ())
+    assert dim_grid(space, size) == expected
+    assert len(calls) <= (size + 1) * (size + 2) // 2  # one per unordered pair (p, q)
+    assert dim_grid(space, -1) == () and dim_grid(space, 0) == ((1,),)
 
