@@ -80,3 +80,15 @@ from .genfunc import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Drop every memo: profiles, base tables, series grids, Weyl constants.
+
+    Mainly for tests that need a cold start.
+    """
+    from . import asymptotics, genfunc, invariant
+
+    for memo in (invariant._profile_rows, invariant.base_dim_table,
+                 genfunc._series_grid, asymptotics.universal_constant):
+        memo.cache_clear()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -142,12 +143,14 @@ def _adaptive_simpson(
 _TRUNCATION, _TOLERANCE, _MAX_REFINEMENTS = 50.0, 1e-10, 48
 
 
+@cache
 def universal_constant(n: int) -> float:
     """The dimension-dependent constant of the Weyl asymptotic.
 
     (n-1) / (n (2 pi)^n Gamma(n+1)) times the integral over the real line
     of (x/sinh x)^n e^{-(n-2)x}, computed by adaptive Simpson on the
     truncated interval [-T, T].  For n = 2 the closed form is 1/48.
+    Memoized per n; a raised NonConvergence is not, so it is raised again.
     """
     if n < 2:
         raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")

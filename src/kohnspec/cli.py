@@ -26,6 +26,7 @@ from .invariant import (
     dim_invariant_bruteforce,
     dim_invariant_dp,
     dim_invariant_recurrence,
+    grid_cells,
 )
 
 BUDGET_ENV = "KOHN_LENS_BUDGET"
@@ -235,8 +236,9 @@ def cmd_span(args) -> int:
 
 def cmd_genfunc_check(args) -> int:
     space, cells = args.lens, (args.cutoff + 1) ** 2
-    # The grid (k per n >= 3 cell), then per point the series and k closed-form terms.
-    grid = cells * (space.k if space.n > 2 else 1)
+    # The symmetric grid's cells q >= p (k per n >= 3 cell), then per point the
+    # series over all cells and k closed-form terms.
+    grid = grid_cells(args.cutoff) * (space.k if space.n > 2 else 1)
     charge(grid + args.points * (cells + space.k * space.n), _resolve_budget(args))
     points = genfunc.unit_disk_points(args.points, seed=args.seed)
     deviation = genfunc.max_deviation(space, points, args.cutoff)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, pairwise, repeat
 from math import comb
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterator
 
 from .core import (
@@ -254,18 +254,28 @@ def dim_cell(space: LensSpace) -> Callable[[int, int], int]:
     return _closed_form(space) if space.n == 2 else partial(dim_invariant_dp, space)
 
 
+def grid_cells(size: int) -> int:
+    """The cells q >= p that `dim_grid` of this size computes, (size + 1)(size + 2)/2."""
+    return (size + 1) * (size + 2) // 2
+
+
 def dim_grid(space: LensSpace, size: int) -> tuple[tuple[int, ...], ...]:
     """dim_invariant(space, p, q) for 0 <= p, q <= size, a symmetric grid.
 
     Row p is a tuple over q.  It computes only q >= p and copies q < p
-    from the rows before it.  For n = 2 that part maps `dim_cell`.  For
+    from the rows before it.  For n = 2 that part is the closed form,
+    which solves its congruence once per diagonal (2k - 1 solves would
+    cover a k x k table; its upper half needs k).  For
     n >= 3 it takes the dot product of profile rows p and q into N(p, q)
     and differences that along the diagonal, dim = N(p, q) - N(p-1, q-1):
-    (size + 1)(size + 2)/2 dot products in all.
+    `grid_cells(size)` dot products in all.
     """
     if space.n == 2:
-        dim = dim_cell(space)
-        uppers = (map(dim, repeat(p), range(p, size + 1)) for p in range(size + 1))
+        # `_closed_form`, with the congruence solved once per diagonal q - p = r.
+        s, solve = _solution(space)
+        solved = [solve(-r) for r in range(size + 1)]
+        uppers = ((0 if a < 0 else (p - a) // s + (q + a) // s + 1
+                   for q, a in zip(range(p, size + 1), solved)) for p in range(size + 1))
     else:
         row = _profile_rows(space.weights, space.k)
         columns = [row(q) for q in range(size + 1)]
@@ -275,7 +285,7 @@ def dim_grid(space: LensSpace, size: int) -> tuple[tuple[int, ...], ...]:
     grid: list[tuple[int, ...]] = []
     for p, upper in enumerate(uppers):
         # One tuple per row: concatenated temporaries left k = 1001 tables 30% more RSS.
-        grid.append(tuple(chain((r[p] for r in grid), upper)))
+        grid.append(tuple(chain(map(itemgetter(p), grid), upper)))
     return tuple(grid)
 
 
@@ -287,9 +297,3 @@ def dim_invariant(space: LensSpace, p: int, q: int) -> int:
     """
     check_bidegree(p, q)
     return dim_cell(space)(p, q)
-
-
-def clear_caches() -> None:
-    """Drop the memoized profiles and base tables (mainly for tests)."""
-    _profile_rows.cache_clear()
-    base_dim_table.cache_clear()

@@ -7,8 +7,10 @@ lines of the hyperbola split below.  The eigenvalues along a line are
 evenly spaced, so each line is one strided slice add; for n = 2 its
 dimensions come from slices of the base table and make no call per cell.
 A single eigenvalue, and its per-(p, q) provenance, is answered by
-enumerating the divisors of lam/2; `write_json` streams a table with its
-provenance one eigenvalue at a time.  k = 1 encodes the sphere.
+enumerating the divisors of lam/2.  `write_json` streams a whole table's
+provenance from the sieve's own lines instead: a block of eigenvalues at
+a time, each line's cells in the block, with their dimensions from the
+same slices, filed by eigenvalue.  k = 1 encodes the sphere.
 
 Every count N_L(lam) comes from `_counts`, at any list of cutoffs, and
 visits no cell.  The cells q(p + n - 1) <= lam/2 lie under a hyperbola,
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate, chain, cycle, islice, repeat
+from itertools import accumulate, chain, compress, cycle, groupby, islice, repeat
 from math import isqrt
 from operator import add
 
@@ -66,8 +68,7 @@ class SpectrumTable:
 
     def contributors(self, lam: int) -> list[Contributor]:
         """The bidegrees of positive dimension that make up lam, by p."""
-        cells = _contributors(self.space, lam, dim_cell(self.space))
-        return [Contributor(*cell) for cell in cells]
+        return [Contributor(*cell) for cell in _contributors(self.space, lam)]
 
 
 def _bidegrees_for(lam: int, n: int) -> list[tuple[int, int]]:
@@ -90,13 +91,10 @@ def _check_eigenvalue(lam: int) -> None:
         raise InvalidEigenvalue(f"eigenvalues are positive even integers, got {lam}")
 
 
-def _contributors(space: LensSpace, lam: int, dim):
-    """Yield (p, q, dim) for the bidegrees of lam with positive dimension.
-
-    `dim` is `dim_cell(space)`, which a caller asking about many
-    eigenvalues binds once.
-    """
+def _contributors(space: LensSpace, lam: int):
+    """Yield (p, q, dim) for the bidegrees of lam with positive dimension."""
     _check_eigenvalue(lam)
+    dim = dim_cell(space)
     for p, q in _bidegrees_for(lam, space.n):
         if d := dim(p, q):
             yield p, q, d
@@ -104,7 +102,7 @@ def _contributors(space: LensSpace, lam: int, dim):
 
 def multiplicity(space: LensSpace, lam: int) -> int:
     """Exact multiplicity of the eigenvalue lam on the lens space."""
-    return sum(d for _, _, d in _contributors(space, lam, dim_cell(space)))
+    return sum(d for _, _, d in _contributors(space, lam))
 
 
 def _sieve_work(space: LensSpace, lambda_max: int) -> int:
@@ -132,16 +130,31 @@ def _sieve(space: LensSpace, lambda_max: int) -> dict[int, int]:
     """
     if lambda_max < 2:  # The least eigenvalue is 2.
         return {}
-    n, half = space.n, lambda_max // 2
+    half = lambda_max // 2
     by_half = [0] * (half + 1)
     step, dims = _line_dims(space, half)
+    for _, f, ms, halves in _line_cells(half, space.n, step):
+        line = slice(halves.start, halves.stop, halves.step)
+        by_half[line] = map(add, by_half[line], dims(f, ms))
+    return {2 * h: m for h, m in enumerate(by_half) if m}
+
+
+def _line_cells(half: int, n: int, step: int):
+    """(shift, f, ms, halves) for each line of `_lines(half, n - 1)`, in its order.
+
+    A row (shift n - 1) fixes q = f = u and runs p = m over v = m + n - 1;
+    a column (shift 0) fixes p = f = v - n + 1 and runs q = m.  ms holds
+    the line's m congruent to f mod step, the only cells that can have
+    positive dim (see `_line_dims`), and halves[i], the half-eigenvalue
+    q(p + n - 1) of the cell (f, ms[i]), is the fixed coordinate (u of a
+    row, v of a column) times ms[i] + shift.
+    """
     for fixed, start, top in _lines(half, n - 1):
         shift = n - 1 if start == n - 1 else 0  # A row runs over v = m + n - 1.
         f, low = fixed + shift - n + 1, start - shift
         ms = range(low + (f - low) % step, top - shift + 1, step)
-        line = slice(fixed * (ms.start + shift), fixed * top + 1, fixed * step)
-        by_half[line] = map(add, by_half[line], dims(f, ms))
-    return {2 * h: m for h, m in enumerate(by_half) if m}
+        yield shift, f, ms, range(fixed * (ms.start + shift), fixed * (ms.stop + shift),
+                                  fixed * step)
 
 
 def _line_dims(space: LensSpace, half: int):
@@ -352,17 +365,67 @@ def write_json(table: SpectrumTable, out, contributors: bool = False) -> None:
     """Write the table as JSON, laid out as `json.dumps(..., indent=2)` would.
 
     The indent=2 layout is spelled out here, so the document is streamed
-    one eigenvalue at a time, and provenance costs O(sqrt(lam)) memory
-    per eigenvalue: no whole-table object is built.
+    and no whole-table object is built.  Provenance comes from
+    `_provenance` a block of eigenvalues at a time: beyond what the sieve
+    itself holds (the table, its O(sqrt(lambda_max)) lines, `_line_dims`)
+    it keeps the cells of _BLOCK consecutive halves, about _BLOCK
+    ln(lambda_max / 2) of them.
     """
     out.write('{\n  "lens": %s,\n  "lambda_max": %d,\n  "entries": ['
               % (json.dumps(str(table.space)), table.lambda_max))
-    sep, dim = "\n", dim_cell(table.space)
-    for lam, m in table.by_eigenvalue.items():
+    rows = (_provenance(table) if contributors
+            else ((lam, m, None) for lam, m in table.by_eigenvalue.items()))
+    sep = "\n"
+    for lam, m, cells in rows:
         out.write(sep + _ENTRY % (lam, m))
         sep = ",\n"
-        if contributors:  # A listed eigenvalue has at least one contributor.
-            cells = [_CELL % cell for cell in _contributors(table.space, lam, dim)]
+        if cells is not None:  # A listed eigenvalue has at least one contributor.
             out.write(',\n      "contributors": [\n%s\n      ]' % ",\n".join(cells))
         out.write("\n    }")
     out.write("\n  ]\n}" if table.by_eigenvalue else "]\n}")
+
+
+# Provenance is gathered for this many consecutive half-eigenvalues at a time.
+_BLOCK = 128
+
+
+def _provenance(table: SpectrumTable):
+    """Yield (lam, multiplicity, cells) for each entry, cells in `_CELL` form by p.
+
+    The cells are the sieve's: each block of _BLOCK halves walks every line
+    of `_line_cells` over the part whose halves fall in the block, takes
+    its dims from `_line_dims` and files each cell of positive dim under
+    its half.  Only blocks holding a listed eigenvalue are walked.  For a
+    half h, the cells (u, v) with u v = h have p = h/u - n + 1 falling as u
+    grows, and a column's u exceeds isqrt(half), which bounds a row's: the
+    columns by v ascending, then the rows by u descending, file each
+    eigenvalue's cells by p.
+    """
+    if not table.by_eigenvalue:  # Nothing to walk, and no base table to fill.
+        return
+    space, half = table.space, table.lambda_max // 2
+    step, dims = _line_dims(space, half)
+    lines = list(_line_cells(half, space.n, step))
+    lines = [line for line in lines if not line[0]] + [line for line in lines[::-1] if line[0]]
+    for block, entries in groupby(table.by_eigenvalue.items(), lambda e: e[0] // (2 * _BLOCK)):
+        low = block * _BLOCK
+        high = min(low + _BLOCK, half + 1)
+        buckets = [[] for _ in range(high - low)]
+        for shift, f, ms, halves in lines:
+            start, stride = halves.start, halves.step
+            if start >= high:  # A column that starts past the block.
+                continue
+            # The line's cells with halves in [low, high): the first index at
+            # or past low, to the first at or past high.
+            first = -((start - low) // stride) if start < low else 0
+            part = ms[first : -((start - high) // stride)]
+            if not part:
+                continue
+            ds = list(dims(f, part))
+            cells = zip(part, repeat(f), ds) if shift else zip(repeat(f), part, ds)
+            targets = compress(buckets[start + first * stride - low :: stride], ds)
+            for bucket, cell in zip(targets, compress(cells, ds)):
+                bucket.extend(cell)  # Flat: a formatted cell takes twice the memory.
+        for lam, m in entries:
+            flat = iter(buckets[lam // 2 - low])
+            yield lam, m, map(_CELL.__mod__, zip(flat, flat, flat))

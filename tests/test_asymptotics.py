@@ -52,6 +52,34 @@ def test_universal_constant_matches_the_closed_form_at_n3():
     assert abs(universal_constant(3) * 144 * math.pi - 1) < 1e-12
 
 
+def test_universal_constant_is_memoized_per_n_until_cleared(monkeypatch):
+    from kohnspec import asymptotics, clear_caches
+
+    quad, calls = asymptotics._adaptive_simpson, []
+    monkeypatch.setattr(asymptotics, "_adaptive_simpson",
+                        lambda *args: calls.append(args[0]) or quad(*args))
+    clear_caches()
+    first = universal_constant(2)
+    assert universal_constant(2) == first and len(calls) == 1
+    clear_caches()
+    assert universal_constant(2) == first and len(calls) == 2
+
+
+def test_universal_constant_does_not_memoize_a_failure(monkeypatch):
+    from kohnspec import asymptotics, clear_caches
+
+    def fails(*args):
+        raise NonConvergence("refinement limit reached")
+
+    quad = asymptotics._adaptive_simpson
+    clear_caches()
+    monkeypatch.setattr(asymptotics, "_adaptive_simpson", fails)
+    with pytest.raises(NonConvergence):
+        universal_constant(3)
+    monkeypatch.setattr(asymptotics, "_adaptive_simpson", quad)
+    assert abs(universal_constant(3) * 144 * math.pi - 1) < 1e-12
+
+
 def test_quadrature_refinement_limit():
     with pytest.raises(NonConvergence):
         _adaptive_simpson(_weyl_integrand(2), -50.0, 50.0, 1e-14, 2)

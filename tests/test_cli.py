@@ -310,7 +310,8 @@ def test_budget_flag_beats_env(capsys, monkeypatch):
 
 
 def test_count_budget_refuses_before_any_table(capsys):
-    from kohnspec.invariant import _profile_rows, clear_caches
+    from kohnspec import clear_caches
+    from kohnspec.invariant import _profile_rows
 
     clear_caches()
     code, out, err = run(
@@ -553,12 +554,13 @@ def test_dim_and_genfunc_check_charge_their_work(capsys, monkeypatch):
     code, out, _ = run(capsys, "dim", "--lens", "7:1,2", "--p", "3", "--q", "1",
                        "--budget", "0")
     assert (code, out) == (0, "0\n")
-    # (cutoff + 1)^2 cells, times k at n = 3, and per point the series and k n terms.
-    monkeypatch.setenv("KOHN_LENS_BUDGET", str(9 * 7 + 2 * (9 + 7 * 3) - 1))
+    # The grid's 6 cells q >= p, times k at n = 3, and per point the series over
+    # all (cutoff + 1)^2 cells and k n terms.
+    monkeypatch.setenv("KOHN_LENS_BUDGET", str(6 * 7 + 2 * (9 + 7 * 3) - 1))
     code, out, err = run(capsys, "genfunc-check", "--lens", "7:1,2,3", "--cutoff", "2",
                          "--points", "2")
-    assert code == 2 and out == "" and "work 123 exceeds budget 122" in err
-    monkeypatch.setenv("KOHN_LENS_BUDGET", "123")
+    assert code == 2 and out == "" and "work 102 exceeds budget 101" in err
+    monkeypatch.setenv("KOHN_LENS_BUDGET", "102")
     code, out, _ = run(capsys, "genfunc-check", "--lens", "7:1,2,3", "--cutoff", "2",
                        "--points", "2")
     assert code == 0 and json.loads(out)["cutoff"] == 2

@@ -346,3 +346,20 @@ def test_dim_grid_matches_the_convolution_cell_by_cell(monkeypatch, space):
     assert len(calls) <= (size + 1) * (size + 2) // 2  # one per unordered pair (p, q)
     assert dim_grid(space, -1) == () and dim_grid(space, 0) == ((1,),)
 
+
+
+@pytest.mark.parametrize("k, weights", [(29, [1, 2]), (30, [1, 7])])  # d = 1 and d = 6
+def test_n2_grid_solves_the_congruence_once_per_diagonal(monkeypatch, k, weights):
+    space = make_lens_space(2, k, weights)
+    expected = tuple(
+        tuple(dim_invariant_dp(space, p, q) for q in range(30)) for p in range(30)
+    )
+    solved, bind = [], invariant._solution
+
+    def counted(space):
+        s, solve = bind(space)
+        return s, lambda r: solved.append(r) or solve(r)
+
+    monkeypatch.setattr(invariant, "_solution", counted)
+    assert dim_grid(space, 29) == expected
+    assert solved == [-r for r in range(30)]  # the diagonals q - p = r >= 0

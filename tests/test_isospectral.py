@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kohnspec.core import (
+    DEFAULT_BUDGET,
     InvalidEigenvalue,
     InvalidOrder,
     MismatchedSpaces,
@@ -172,6 +173,38 @@ def test_dims_equal_charges_the_box_before_any_grid(monkeypatch):
     space = make_lens_space(3, 200, [1, 3, 7])
     with pytest.raises(ResourceLimit, match="exceeds budget 10000000"):
         dims_equal(space, space)
+
+
+class _Charged(Exception):
+    pass
+
+
+def _charge_of_dims_equal(monkeypatch, space) -> int:
+    """The work `dims_equal(space, space)` charges, stopped before any grid."""
+    from kohnspec import isospectral
+
+    charged = []
+
+    def record(work, budget):
+        charged.append(work)
+        raise _Charged
+
+    monkeypatch.setattr(isospectral, "charge", record)
+    with pytest.raises(_Charged):
+        dims_equal(space, space)
+    return charged[0]
+
+
+def test_dims_equal_charges_the_symmetric_grid(monkeypatch):
+    from kohnspec.spectrum import _profile_work
+
+    # The 192 x 192 box computes 192 * 193 / 2 cells of 64 entries, not 192^2.
+    space = make_lens_space(3, 64, [1, 9, 25])
+    expected = 2 * (192 * 193 // 2 * 64 + _profile_work(space, 192))
+    assert _charge_of_dims_equal(monkeypatch, space) == expected == 2_452_224
+    # So a k = 100 pair, 9.2M of work, fits the default budget.
+    charged = _charge_of_dims_equal(monkeypatch, make_lens_space(3, 100, [1, 3, 7]))
+    assert charged == 9_220_800 <= DEFAULT_BUDGET
 
 
 def test_d_invariant_examples():

@@ -182,6 +182,36 @@ def test_streamed_json_is_the_json_module_layout(space, lambda_max, contributors
     assert out.getvalue() == json.dumps(spectrum_to_json_obj(table, contributors), indent=2)
 
 
+@st.composite
+def provenance_tables(draw):
+    """A table whose cutoff is 0, 2, beside a block boundary of the writer, or below one."""
+    from kohnspec.spectrum import _BLOCK
+
+    n = draw(st.sampled_from((2, 3, 4)))
+    k = draw(st.integers(1, 12 if n < 4 else 5))
+    units = [u for u in range(1, k + 1) if gcd(u, k) == 1]
+    space = make_lens_space(n, k, draw(st.lists(st.sampled_from(units), min_size=n, max_size=n)))
+    edge = 2 * _BLOCK * draw(st.integers(1, 3 if n == 2 else 1))
+    lam = draw(st.one_of(st.sampled_from((0, 2, edge - 2, edge, edge + 2)),
+                         st.integers(0, edge // 2).map(lambda h: 2 * h)))
+    return build_spectrum(space, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(provenance_tables())
+@example(build_spectrum(SPHERE3, 514))
+@example(build_spectrum(make_lens_space(2, 12, [1, 7]), 510))  # d = 6
+@example(build_spectrum(make_lens_space(2, 12, [1, 7]), 512))
+@example(build_spectrum(make_lens_space(3, 1, [1, 1, 1]), 2))
+@example(build_spectrum(make_lens_space(3, 7, [1, 2, 4]), 514))
+@example(build_spectrum(make_lens_space(4, 5, [1, 2, 3, 4]), 512))
+@example(build_spectrum(make_lens_space(4, 3, [1, 1, 2, 2]), 0))
+def test_provenance_is_the_per_eigenvalue_oracle(table):
+    # The oracle lists each eigenvalue's divisors of lam/2 and calls dim per bidegree.
+    expected = json.dumps(spectrum_to_json_obj(table, True), indent=2)
+    assert spectrum_to_json(table, contributors=True) == expected
+
+
 def test_provenance_fills_no_base_table():
     # A k x k base table at k = 10007 would hold 1e8 entries.
     space = make_lens_space(2, 10007, [1, 2])
@@ -197,12 +227,17 @@ def test_provenance_fills_no_base_table():
     assert base_dim_table.cache_info().misses == before
 
 
-def test_provenance_binds_the_dimension_once_per_table(monkeypatch):
+def _forbidden(*args):
+    raise AssertionError("the n = 2 provenance walk must not call this")
+
+
+def test_provenance_for_n2_calls_no_dim_and_enumerates_no_divisors(monkeypatch):
     from kohnspec import spectrum
 
-    calls = []
-    bind = spectrum.dim_cell
-    monkeypatch.setattr(spectrum, "dim_cell", lambda space: calls.append(space) or bind(space))
-    table = build_spectrum(make_lens_space(2, 9, [1, 8]), 400)
-    assert len(spectrum_to_json(table, contributors=True)) > 0
-    assert len(calls) == 1 and len(table.by_eigenvalue) > 100
+    # Three blocks of halves each; d = 1 and d = 6.
+    spaces = make_lens_space(2, 9, [1, 8]), make_lens_space(2, 12, [1, 7])
+    tables = [build_spectrum(space, 4 * spectrum._BLOCK + 200) for space in spaces]
+    expected = [json.dumps(spectrum_to_json_obj(table, True), indent=2) for table in tables]
+    monkeypatch.setattr(spectrum, "dim_cell", _forbidden)
+    monkeypatch.setattr(spectrum, "_bidegrees_for", _forbidden)
+    assert [spectrum_to_json(table, contributors=True) for table in tables] == expected
