@@ -303,12 +303,6 @@ def remainder_experiment(
     for lam, count in zip(lams, counts):
         residual = count - predicted * float(lam) ** n
         scale = float(lam) ** (n - 1)
-        rows.append(
-            RemainderSample(
-                lam=lam,
-                residual=residual,
-                scaled=residual / scale,
-                scaled_log=residual / (scale * math.log(lam)),
-            )
-        )
+        rows.append(RemainderSample(lam=lam, residual=residual, scaled=residual / scale,
+                                    scaled_log=residual / (scale * math.log(lam))))
     return rows

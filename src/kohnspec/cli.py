@@ -242,15 +242,8 @@ def cmd_genfunc_check(args) -> int:
     charge(grid + args.points * (cells + space.k * space.n), _resolve_budget(args))
     points = genfunc.unit_disk_points(args.points, seed=args.seed)
     deviation = genfunc.max_deviation(space, points, args.cutoff)
-    _emit_json(
-        {
-            "lens": str(args.lens),
-            "points": args.points,
-            "cutoff": args.cutoff,
-            "seed": args.seed,
-            "max_deviation": float(_fmt(deviation)),
-        }
-    )
+    _emit_json({"lens": str(args.lens), "points": args.points, "cutoff": args.cutoff,
+                "seed": args.seed, "max_deviation": float(_fmt(deviation))})
     return 0
 
 
@@ -260,9 +253,7 @@ def cmd_remainder(args) -> int:
     )
     print("lambda,residual,residual_per_lambda_nm1,residual_per_lambda_nm1_log")
     for row in rows:
-        print(
-            f"{row.lam},{_fmt(row.residual)},{_fmt(row.scaled)},{_fmt(row.scaled_log)}"
-        )
+        print(f"{row.lam},{_fmt(row.residual)},{_fmt(row.scaled)},{_fmt(row.scaled_log)}")
     return 0
 
 

@@ -50,10 +50,7 @@ def genfunc_closed(space: LensSpace, z: complex, w: complex) -> complex:
 
     total = term(0)
     for m in range(1, k // 2 + 1):
-        if m == k - m:
-            total += term(m)
-        else:
-            total += term(m) + term(k - m)
+        total += term(m) if m == k - m else term(m) + term(k - m)
     return total / k
 
 
@@ -110,19 +107,9 @@ def independence_probe(k: int, sample_points) -> int:
         )
     zetas = [cmath.exp(2j * math.pi * j / k) for j in range(k)]
     pairs = [(l, m) for l in range(k) for m in range(l, k)]
-    matrix = [
-        [
-            1.0
-            / (
-                (z - zetas[l])
-                * (w - zetas[l].conjugate())
-                * (z - zetas[m])
-                * (w - zetas[m].conjugate())
-            )
-            for l, m in pairs
-        ]
-        for z, w in points
-    ]
+    matrix = [[1.0 / ((z - zetas[l]) * (w - zetas[l].conjugate())
+                      * (z - zetas[m]) * (w - zetas[m].conjugate())) for l, m in pairs]
+              for z, w in points]
     return _numerical_rank(matrix)
 
 

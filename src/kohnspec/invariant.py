@@ -40,11 +40,6 @@ from .core import (
 )
 
 
-def divides(k: int, a: int) -> int:
-    """1 if k divides a, else 0.  a may be negative."""
-    return 1 if a % k == 0 else 0
-
-
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of `parts` nonnegative integers summing to `total`."""
     if parts == 1:
@@ -157,7 +152,7 @@ class MNCounts:
     m_pq counts beta_1 in [0, q] with l_1(-beta_1) + l_2(p-q+beta_1) = 0
     mod k (the alpha_1 = 0 branch); n_pq counts alpha_1 in [0, p] with
     l_1 alpha_1 + l_2(p-q-alpha_1) = 0 mod k (beta_1 = 0).  The invariant
-    dimension is m_pq + n_pq - divides(k, p-q).
+    dimension is m_pq + n_pq - [k | p - q].
     """
 
     m_pq: int

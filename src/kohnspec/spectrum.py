@@ -351,10 +351,8 @@ def counting_grid_size(n: int, lam: int) -> int:
 
 def spectrum_to_csv(table: SpectrumTable) -> str:
     """Two-column CSV `lambda,multiplicity`, one row per eigenvalue."""
-    lines = ["lambda,multiplicity"]
-    for lam, m in table.by_eigenvalue.items():
-        lines.append(f"{lam},{m}")
-    return "\n".join(lines) + "\n"
+    return "".join(["lambda,multiplicity\n",
+                    *(f"{lam},{m}\n" for lam, m in table.by_eigenvalue.items())])
 
 
 _ENTRY = '    {\n      "lambda": %d,\n      "multiplicity": %d'
@@ -395,7 +393,9 @@ def _provenance(table: SpectrumTable):
     The cells are the sieve's: each block of _BLOCK halves walks every line
     of `_line_cells` over the part whose halves fall in the block, takes
     its dims from `_line_dims` and files each cell of positive dim under
-    its half.  Only blocks holding a listed eigenvalue are walked.  For a
+    its half.  Only blocks holding a listed eigenvalue are walked, and for
+    n >= 3, whose dims are one call per cell, only cells of listed
+    eigenvalues are evaluated (any iterable of m serves there).  For a
     half h, the cells (u, v) with u v = h have p = h/u - n + 1 falling as u
     grows, and a column's u exceeds isqrt(half), which bounds a row's: the
     columns by v ascending, then the rows by u descending, file each
@@ -411,6 +411,11 @@ def _provenance(table: SpectrumTable):
         low = block * _BLOCK
         high = min(low + _BLOCK, half + 1)
         buckets = [[] for _ in range(high - low)]
+        listed = None
+        if space.n != 2:  # A dim call per cell: call it only for listed halves.
+            listed, entries = bytearray(high - low), list(entries)
+            for lam, _ in entries:
+                listed[lam // 2 - low] = 1
         for shift, f, ms, halves in lines:
             start, stride = halves.start, halves.step
             if start >= high:  # A column that starts past the block.
@@ -421,10 +426,14 @@ def _provenance(table: SpectrumTable):
             part = ms[first : -((start - high) // stride)]
             if not part:
                 continue
+            at = start + first * stride - low
+            targets = buckets[at::stride]
+            if listed is not None:
+                keep = listed[at::stride]
+                part, targets = list(compress(part, keep)), list(compress(targets, keep))
             ds = list(dims(f, part))
             cells = zip(part, repeat(f), ds) if shift else zip(repeat(f), part, ds)
-            targets = compress(buckets[start + first * stride - low :: stride], ds)
-            for bucket, cell in zip(targets, compress(cells, ds)):
+            for bucket, cell in zip(compress(targets, ds), compress(cells, ds)):
                 bucket.extend(cell)  # Flat: a formatted cell takes twice the memory.
         for lam, m in entries:
             flat = iter(buckets[lam // 2 - low])

@@ -15,11 +15,15 @@ from kohnspec.invariant import (
     dim_invariant_dp,
     dim_invariant_recurrence,
     dim_grid,
-    divides,
     exponent_profile,
     mn_counts,
 )
 from kohnspec.sphere import dim_hpq
+
+
+def divides(k: int, a: int) -> int:
+    """1 if k divides a, else 0.  a may be negative."""
+    return 1 if a % k == 0 else 0
 
 
 def lens_strategy(n_values=(2, 3), k_max=8):

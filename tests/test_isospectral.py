@@ -126,6 +126,80 @@ def test_spectra_comparison_across_different_k():
     )
 
 
+def full_tables_equal(space, other, lambda_max):
+    """The comparison `spectra_equal_up_to` decides: both whole tables."""
+    return (multiplicity_table(space, lambda_max, budget=None)
+            == multiplicity_table(other, lambda_max, budget=None))
+
+
+@st.composite
+def comparison_pairs(draw):
+    """Equal-n pairs (n = 2, 3): isometric images, equal k, or different k."""
+    n = draw(st.integers(2, 3))
+    orders = st.integers(1, 25 if n == 2 else 10)
+
+    def draw_space(k):
+        units = st.sampled_from(units_of(k) if k > 1 else [1])
+        return make_lens_space(n, k, draw(st.lists(units, min_size=n, max_size=n)))
+
+    first = draw_space(draw(orders))
+    kind = draw(st.sampled_from(("image", "same k", "other k")))
+    if kind == "image":
+        a = draw(st.sampled_from(units_of(first.k) if first.k > 1 else [1]))
+        second = make_lens_space(n, first.k, draw(st.permutations([a * w for w in first.weights])))
+    else:
+        second = draw_space(first.k if kind == "same k" else draw(orders))
+    return first, second
+
+
+@settings(max_examples=150, deadline=None)
+@given(comparison_pairs(),
+       st.one_of(st.sampled_from((0, 1, 2, 63, 64, 65, 256, 257)), st.integers(0, 3000)))
+@example((make_lens_space(2, 9, [1, 2]), make_lens_space(2, 9, [1, 4])), 257)  # d = 1, 3
+@example((make_lens_space(2, 12, [1, 5]), make_lens_space(2, 12, [1, 7])), 65)  # d = 4, 6
+@example((make_lens_space(2, 7, [1, 2]), make_lens_space(2, 7, [4, 1])), 3000)
+@example((make_lens_space(3, 49, [1, 8, 22]), make_lens_space(3, 49, [1, 8, 36])), 257)
+@example((make_lens_space(2, 1, [1, 1]), make_lens_space(2, 2, [1, 1])), 0)
+# Invariant only on p = q below k, so these first differ at 2 * 101 and 2 * 257.
+@example((make_lens_space(2, 101, [1, 1]), make_lens_space(2, 103, [1, 1])), 201)
+@example((make_lens_space(2, 101, [1, 1]), make_lens_space(2, 103, [1, 1])), 202)
+@example((make_lens_space(2, 257, [1, 1]), make_lens_space(2, 263, [1, 1])), 513)
+@example((make_lens_space(2, 257, [1, 1]), make_lens_space(2, 263, [1, 1])), 514)
+def test_spectra_equal_up_to_is_the_full_table_comparison(pair, lambda_max):
+    assert spectra_equal_up_to(*pair, lambda_max, budget=None) == full_tables_equal(
+        *pair, lambda_max)
+
+
+def test_isometric_pair_is_decided_without_a_sieve(monkeypatch):
+    from kohnspec import spectrum
+
+    def forbidden(*args):
+        raise AssertionError("an isometric pair needs no sieve")
+
+    monkeypatch.setattr(spectrum, "_sieve", forbidden)
+    for n, k, weights, image in ((2, 7, [1, 2], [2, 4]), (3, 9, [1, 2, 4], [7, 4, 8])):
+        first, second = make_lens_space(n, k, weights), make_lens_space(n, k, image)
+        assert condition4_witness(first, second) is not None
+        assert spectra_equal_up_to(first, second, 20000)
+        # The charge of both sieves still comes first.
+        with pytest.raises(ResourceLimit):
+            spectra_equal_up_to(first, second, 20000, budget=1)
+    with pytest.raises(AssertionError):
+        spectra_equal_up_to(make_lens_space(2, 7, [1, 2]), make_lens_space(2, 7, [1, 3]), 2)
+
+
+def test_non_isometric_prime_pair_is_separated_at_cutoff_64(monkeypatch):
+    from kohnspec import spectrum
+
+    cutoffs, sieve = [], spectrum._sieve
+    monkeypatch.setattr(spectrum, "_sieve",
+                        lambda space, lam: cutoffs.append(lam) or sieve(space, lam))
+    first, second = make_lens_space(2, 101, [1, 2]), make_lens_space(2, 101, [1, 3])
+    assert condition4_witness(first, second) is None
+    assert not spectra_equal_up_to(first, second, 12000)
+    assert cutoffs == [64, 64]
+
+
 def test_dims_equal_examples():
     assert dims_equal(make_lens_space(2, 3, [1, 2]), make_lens_space(2, 3, [2, 1]))
     assert not dims_equal(
@@ -383,6 +457,24 @@ def test_classify_matches_orbit_enumeration():
         assert {frozenset(members) for members in classes.values()} == orbits
         assert len(classes) == len(orbits)
         assert all(rep in members for rep, members in classes.items())
+
+
+def orbit_classes(k):
+    """The classes as unit orbits: take a pair, remove its orbit, repeat."""
+    units = units_of(k)
+    unclassified, classes = set(product(units, repeat=2)), {}
+    while unclassified:
+        x, y = unclassified.pop()
+        orbit = {((a * u) % k, (a * v) % k) for a in units for u, v in ((x, y), (y, x))}
+        unclassified -= orbit
+        classes[min(pair for pair in orbit if pair[0] == 1)] = sorted(orbit)
+    return dict(sorted(classes.items()))
+
+
+def test_classify_is_the_orbit_construction():
+    for k in [*range(2, 60), 97, 99, 112, 120]:
+        classes, expected = classify_all(k, budget=None), orbit_classes(k)
+        assert classes == expected and list(classes) == list(expected)
 
 
 def test_totient_by_factoring_counts_the_units():

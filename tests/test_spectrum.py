@@ -241,3 +241,21 @@ def test_provenance_for_n2_calls_no_dim_and_enumerates_no_divisors(monkeypatch):
     monkeypatch.setattr(spectrum, "dim_cell", _forbidden)
     monkeypatch.setattr(spectrum, "_bidegrees_for", _forbidden)
     assert [spectrum_to_json(table, contributors=True) for table in tables] == expected
+
+
+def test_provenance_for_n3_calls_dim_only_for_listed_eigenvalues(monkeypatch):
+    from kohnspec import spectrum
+
+    # Of its 2,068 cells walked in blocks, 1,486 belong to the 299 listed eigenvalues.
+    table = build_spectrum(make_lens_space(3, 12, [1, 5, 7]), 800)
+    expected = json.dumps(spectrum_to_json_obj(table, True), indent=2)
+    calls, dim_cell = [], spectrum.dim_cell
+
+    def counted(space):
+        cell = dim_cell(space)
+        return lambda p, q: calls.append((p, q)) or cell(p, q)
+
+    monkeypatch.setattr(spectrum, "dim_cell", counted)
+    assert spectrum_to_json(table, contributors=True) == expected
+    bidegrees = [cell for lam in table.by_eigenvalue for cell in spectrum._bidegrees_for(lam, 3)]
+    assert len(calls) == len(bidegrees) == 1486
