@@ -81,21 +81,22 @@ def spectra_equal_up_to(
 ) -> bool:
     """Whether the multiplicity tables agree for every even eigenvalue <= cutoff.
 
-    k may differ between the spaces; n may not.  Both sieves to lambda_max
-    are charged together, each as in `build_spectrum`, before any work;
-    budget None means unbounded.  An isometry witness proves equality: it
-    maps one group onto the other by a coordinate permutation, so every
-    invariant dimension agrees.  Otherwise the tables are compared at
-    cutoff min(lambda_max, 64), then 4, 16, ... times that, capped at
-    lambda_max: a table at c is the entries <= c of the one at lambda_max,
-    so the first difference is final, and the sieves cost at most 4/3 of
-    the two at lambda_max.
+    k may differ between the spaces; n may not.  An isometry witness
+    proves equality, with no sieve run or charged: it maps one group onto
+    the other by a coordinate permutation, so every dimension agrees.
+    Otherwise both sieves to lambda_max are charged together, each as in
+    `build_spectrum`, before any sieve (budget None means unbounded), and
+    the tables are compared at cutoff min(lambda_max, 64), then 4, 16, ...
+    times that, capped at lambda_max: a table at c is the entries <= c of
+    the one at lambda_max, so the first difference is final, and the
+    sieves cost at most 4/3 of the two at lambda_max.
     """
     if space.n != other.n:
         raise MismatchedSpaces("spectral comparison needs equal n")
-    charge(_sieve_work(space, lambda_max) + _sieve_work(other, lambda_max), budget)
+    work = _sieve_work(space, lambda_max) + _sieve_work(other, lambda_max)  # Validates lambda_max.
     if space.k == other.k and condition4_witness(space, other) is not None:
         return True
+    charge(work, budget)
     cutoff = min(lambda_max, 64)
     while (multiplicity_table(space, cutoff, budget=None)
            == multiplicity_table(other, cutoff, budget=None)):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, chain, compress, cycle, groupby, islice, repeat
 from math import isqrt
 from operator import add
@@ -357,38 +358,37 @@ def spectrum_to_csv(table: SpectrumTable) -> str:
 
 _ENTRY = '    {\n      "lambda": %d,\n      "multiplicity": %d'
 _CELL = '        {\n          "p": %d,\n          "q": %d,\n          "dim": %d\n        }'
+# Provenance is gathered for this many consecutive half-eigenvalues at a time.
+_BLOCK = 256
+
+
+@cache
+def _entry(count: int) -> str:
+    """The template of an entry with `count` contributors: one per count seen."""
+    cells = ",\n".join(repeat(_CELL, count))
+    return _ENTRY + ',\n      "contributors": [\n%s\n      ]\n    }' % cells
 
 
 def write_json(table: SpectrumTable, out, contributors: bool = False) -> None:
     """Write the table as JSON, laid out as `json.dumps(..., indent=2)` would.
 
-    The indent=2 layout is spelled out here, so the document is streamed
-    and no whole-table object is built.  Provenance comes from
-    `_provenance` a block of eigenvalues at a time: beyond what the sieve
-    itself holds (the table, its O(sqrt(lambda_max)) lines, `_line_dims`)
-    it keeps the cells of _BLOCK consecutive halves, about _BLOCK
-    ln(lambda_max / 2) of them.
+    The layout is spelled out, so the document streams: one `%` of an
+    `_entry` template and one write per entry.  Beyond the sieve's lines,
+    it holds one entry's string and the cells of _BLOCK consecutive halves.
     """
     out.write('{\n  "lens": %s,\n  "lambda_max": %d,\n  "entries": ['
               % (json.dumps(str(table.space)), table.lambda_max))
-    rows = (_provenance(table) if contributors
-            else ((lam, m, None) for lam, m in table.by_eigenvalue.items()))
+    entries = ((_entry(len(flat) // 3) % (lam, m, *flat) for lam, m, flat in _provenance(table))
+               if contributors else map((_ENTRY + "\n    }").__mod__, table.by_eigenvalue.items()))
     sep = "\n"
-    for lam, m, cells in rows:
-        out.write(sep + _ENTRY % (lam, m))
+    for entry in entries:
+        out.write(sep + entry)
         sep = ",\n"
-        if cells is not None:  # A listed eigenvalue has at least one contributor.
-            out.write(',\n      "contributors": [\n%s\n      ]' % ",\n".join(cells))
-        out.write("\n    }")
     out.write("\n  ]\n}" if table.by_eigenvalue else "]\n}")
 
 
-# Provenance is gathered for this many consecutive half-eigenvalues at a time.
-_BLOCK = 128
-
-
 def _provenance(table: SpectrumTable):
-    """Yield (lam, multiplicity, cells) for each entry, cells in `_CELL` form by p.
+    """Yield (lam, multiplicity, flat) per entry, flat = [p, q, dim, p, ...] by p.
 
     The cells are the sieve's: each block of _BLOCK halves walks every line
     of `_line_cells` over the part whose halves fall in the block, takes
@@ -436,5 +436,4 @@ def _provenance(table: SpectrumTable):
             for bucket, cell in zip(compress(targets, ds), compress(cells, ds)):
                 bucket.extend(cell)  # Flat: a formatted cell takes twice the memory.
         for lam, m in entries:
-            flat = iter(buckets[lam // 2 - low])
-            yield lam, m, map(_CELL.__mod__, zip(flat, flat, flat))
+            yield lam, m, buckets[lam // 2 - low]

@@ -373,6 +373,14 @@ def test_isospec_charges_both_sieves_before_either(capsys, monkeypatch):
     assert calls == []
 
 
+def test_isospec_isometric_pair_is_not_charged_for_sieves(capsys):
+    # Both sieves to 2e6 would cost 27,940,166; the witness settles the pair.
+    argv = ["isospec", "--lens", "7:1,2", "--lens", "7:2,4", "--lambda-max", "2000000"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["spectra_equal"] is True
+
+
 def test_isospec_budget_flag(capsys):
     argv = ["isospec", "--lens", "7:1,2", "--lens", "7:1,3", "--lambda-max", "100"]
     code, out, err = run(capsys, *argv, "--budget", "10")
@@ -529,6 +537,14 @@ def test_isospec_witness_tries_n_units_at_most():
     assert proc.returncode == 2 and proc.stdout == ""
     assert "exceeds budget 10000000" in proc.stderr
     assert elapsed < 1.0
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "kohnspec", "count", "--lens", "1:1,1",
+                           "--lambda-max", "4"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "8\n"  # Eigenvalue 2 twice and 4 six times on S^3.
 
 
 def test_dim_and_genfunc_check_over_the_default_budget_exit_2_at_once():

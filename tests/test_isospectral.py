@@ -181,11 +181,14 @@ def test_isometric_pair_is_decided_without_a_sieve(monkeypatch):
         first, second = make_lens_space(n, k, weights), make_lens_space(n, k, image)
         assert condition4_witness(first, second) is not None
         assert spectra_equal_up_to(first, second, 20000)
-        # The charge of both sieves still comes first.
-        with pytest.raises(ResourceLimit):
-            spectra_equal_up_to(first, second, 20000, budget=1)
+        # The witness route runs no sieve, so it is not charged for one.
+        assert spectra_equal_up_to(first, second, 20000, budget=1)
+    other = make_lens_space(2, 7, [1, 3])
+    # The sieve route is charged for both sieves before either runs.
+    with pytest.raises(ResourceLimit):
+        spectra_equal_up_to(make_lens_space(2, 7, [1, 2]), other, 20000, budget=1)
     with pytest.raises(AssertionError):
-        spectra_equal_up_to(make_lens_space(2, 7, [1, 2]), make_lens_space(2, 7, [1, 3]), 2)
+        spectra_equal_up_to(make_lens_space(2, 7, [1, 2]), other, 2)
 
 
 def test_non_isometric_prime_pair_is_separated_at_cutoff_64(monkeypatch):

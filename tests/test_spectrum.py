@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -210,6 +211,43 @@ def test_provenance_is_the_per_eigenvalue_oracle(table):
     # The oracle lists each eigenvalue's divisors of lam/2 and calls dim per bidegree.
     expected = json.dumps(spectrum_to_json_obj(table, True), indent=2)
     assert spectrum_to_json(table, contributors=True) == expected
+
+
+class _ByteCount:
+    """A sink that keeps only the number of characters written."""
+
+    size = 0
+
+    def write(self, text: str) -> None:
+        self.size += len(text)
+
+
+def test_contributors_json_streams_one_entry_at_a_time():
+    from kohnspec import clear_caches
+
+    # 7,450 eigenvalues and 68k cells: a 6.06 MB document.  The writer
+    # holds one entry's string and one block's cells (480 KiB at peak, with
+    # the templates); one string per block of it peaks at 0.9-1.3 MiB.
+    table = build_spectrum(make_lens_space(2, 25, [8, 24]), 14912)
+    clear_caches()  # The entry templates are built, and counted, in the trace.
+    out = _ByteCount()
+    tracemalloc.start()
+    try:
+        write_json(table, out, contributors=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.size == 6_063_186
+    assert peak < 3 * 2**18
+
+
+def test_clear_caches_drops_the_entry_templates():
+    from kohnspec import clear_caches, spectrum
+
+    write_json(build_spectrum(SPHERE3, 20), _ByteCount(), contributors=True)
+    assert spectrum._entry.cache_info().currsize > 0
+    clear_caches()
+    assert spectrum._entry.cache_info().currsize == 0
 
 
 def test_provenance_fills_no_base_table():
