@@ -364,7 +364,7 @@ _BLOCK = 256
 
 @cache
 def _entry(count: int) -> str:
-    """The template of an entry with `count` contributors: one per count seen."""
+    """The template of an entry with `count` >= 1 contributors, memoized per count."""
     cells = ",\n".join(repeat(_CELL, count))
     return _ENTRY + ',\n      "contributors": [\n%s\n      ]\n    }' % cells
 
