@@ -12,7 +12,6 @@ The sphere's counts are those of the trivial group L(1; 1, ..., 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -25,8 +24,14 @@ from .core import (
 from .spectrum import _counts, _sum_lines, lens_counting
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class _BoundFields(NamedTuple):
+    N: int
+    m: int
+    d: int
+    n: int
+
+
+class BoundParams(_BoundFields):
     """Parameters (N, m, d, n) of the floor/ceiling counting bounds.
 
     Here m and d come from the congruence structure (m = gcd(k, l1 - l2),
@@ -34,14 +39,13 @@ class BoundParams:
     for the gcd itself.  The two never mix.
     """
 
-    N: int
-    m: int
-    d: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 0 or self.m < 1 or self.d < 1:
+    def __new__(cls, N: int, m: int, d: int, n: int):
+        # A NamedTuple body may not define __new__, hence the subclass.
+        if N < 0 or m < 1 or d < 1:
             raise ValueError("need N >= 0, m >= 1, d >= 1")
+        return super().__new__(cls, N, m, d, n)
 
 
 class BoundCheck(NamedTuple):
@@ -50,8 +54,7 @@ class BoundCheck(NamedTuple):
     holds: bool
 
 
-@dataclass(frozen=True)
-class RatioSample:
+class RatioSample(NamedTuple):
     """One exact sample of the lens/sphere eigenvalue-count ratio."""
 
     lam: int
@@ -273,8 +276,7 @@ def lemma_ratio_decay(n: int, lambda_list: list[int]) -> list[Fraction]:
     ]
 
 
-@dataclass(frozen=True)
-class RemainderSample:
+class RemainderSample(NamedTuple):
     lam: int
     residual: float
     scaled: float  # residual / lam^(n-1)

@@ -174,20 +174,16 @@ def cmd_bounds_check(args) -> int:
 
 def cmd_isospec(args) -> int:
     first, second = args.lens
-    witness = None
-    if first.k == second.k and first.n == second.n:
-        found = isospectral.condition4_witness(first, second)
-        if found is not None:
-            witness = {"a": found.a, "sigma": list(found.sigma)}
+    found, equal = isospectral._compare_spectra(
+        first, second, args.lambda_max, _resolve_budget(args)
+    )
     d_equal = None
     if first.n == 2 and second.n == 2 and first.k == second.k:
         d_equal = isospectral.d_invariant_check(first, second)
     _emit_json(
         {
-            "witness": witness,
-            "spectra_equal": isospectral.spectra_equal_up_to(
-                first, second, args.lambda_max, _resolve_budget(args)
-            ),
+            "witness": None if found is None else found._asdict(),
+            "spectra_equal": equal,
             "d_equal": d_equal,
         }
     )

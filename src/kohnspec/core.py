@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class KohnSpecError(Exception):
@@ -65,8 +65,7 @@ class InsufficientSamples(KohnSpecError):
     """Too few sample points for the requested rank probe."""
 
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(NamedTuple):
     """Parameters (n, k, weights) of the lens space L(k; l_1, ..., l_n).
 
     The quotient of the unit sphere in C^n by the cyclic group of order k

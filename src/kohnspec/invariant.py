@@ -23,12 +23,11 @@ rows p and q.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, pairwise, repeat
 from math import comb
 from operator import add, itemgetter, mul, sub
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .core import (
     DEFAULT_BUDGET,
@@ -145,8 +144,7 @@ def dim_invariant_dp(space: LensSpace, p: int, q: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class MNCounts:
+class MNCounts(NamedTuple):
     """Solution counts of the two one-variable congruences behind n = 2.
 
     m_pq counts beta_1 in [0, q] with l_1(-beta_1) + l_2(p-q+beta_1) = 0

@@ -13,7 +13,7 @@ tries a witness before tables at rising cutoffs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_BUDGET,
@@ -29,8 +29,7 @@ from .spectrum import (_bidegrees_for, _check_eigenvalue, _profile_work, _sieve_
                        multiplicity_table)
 
 
-@dataclass(frozen=True)
-class IsometryWitness:
+class IsometryWitness(NamedTuple):
     """Unit a and permutation sigma with l'_i = a * l_sigma(i) mod k.
 
     sigma is stored 1-based: sigma[i-1] is the source position for target
@@ -81,7 +80,18 @@ def spectra_equal_up_to(
 ) -> bool:
     """Whether the multiplicity tables agree for every even eigenvalue <= cutoff.
 
-    k may differ between the spaces; n may not.  An isometry witness
+    k may differ between the spaces; n may not.  Decided, and charged, as
+    in `_compare_spectra`.
+    """
+    return _compare_spectra(space, other, lambda_max, budget)[1]
+
+
+def _compare_spectra(
+    space: LensSpace, other: LensSpace, lambda_max: int, budget: int | None
+) -> tuple[IsometryWitness | None, bool]:
+    """The isometry witness, and whether the spectra agree up to lambda_max.
+
+    The witness is None when k differs or there is none.  A witness
     proves equality, with no sieve run or charged: it maps one group onto
     the other by a coordinate permutation, so every dimension agrees.
     Otherwise both sieves to lambda_max are charged together, each as in
@@ -94,16 +104,17 @@ def spectra_equal_up_to(
     if space.n != other.n:
         raise MismatchedSpaces("spectral comparison needs equal n")
     work = _sieve_work(space, lambda_max) + _sieve_work(other, lambda_max)  # Validates lambda_max.
-    if space.k == other.k and condition4_witness(space, other) is not None:
-        return True
+    witness = condition4_witness(space, other) if space.k == other.k else None
+    if witness is not None:
+        return witness, True
     charge(work, budget)
     cutoff = min(lambda_max, 64)
     while (multiplicity_table(space, cutoff, budget=None)
            == multiplicity_table(other, cutoff, budget=None)):
         if cutoff == lambda_max:
-            return True
+            return None, True
         cutoff = min(4 * cutoff, lambda_max)
-    return False
+    return None, False
 
 
 def dims_equal(space: LensSpace, other: LensSpace) -> bool:
@@ -146,8 +157,7 @@ def d_invariant_check(space: LensSpace, other: LensSpace) -> bool:
     return gcd_invariant(space) == gcd_invariant(other)
 
 
-@dataclass(frozen=True)
-class CMatrix:
+class CMatrix(NamedTuple):
     """k x k counts of bidegree classes hitting one eigenvalue (n = 2).
 
     Entry (a, b) counts pairs (p, q) with p = a, q = b mod k and
@@ -214,7 +224,7 @@ def t_inverse(matrix) -> list[list[int]]:
     return [list(matrix[(i - 1) % size]) for i in range(size)]
 
 
-def _integer_rank(rows) -> int:
+def _integer_rank(rows, ceiling: int | None = None) -> int:
     """Rank over Q of sparse integer rows {column: nonzero entry}.
 
     Fraction-free elimination on the nonzeros alone: an echelon basis is
@@ -222,10 +232,14 @@ def _integer_rank(rows) -> int:
     divided by its content and with a positive pivot.  A new row meeting
     a basis row b at its pivot becomes (b/g) row - (r/g) b, where b and r
     are the two pivot entries and g = gcd(b, r), until it vanishes or
-    brings a pivot of its own; no rationals ever appear.
+    brings a pivot of its own; no rationals ever appear.  No further row
+    is read once the rank reaches `ceiling`, a bound on the rank of all
+    the rows that the caller knows (None: read them all).
     """
     basis: dict[int, dict[int, int]] = {}
     for row in rows:
+        if len(basis) == ceiling:
+            break
         row = dict(row)
         while row:
             pivot = min(row)
@@ -258,14 +272,19 @@ _SPAN_UNIT = 4
 def span_dimension(k: int, lambdas, budget: int | None = DEFAULT_BUDGET) -> int:
     """Rational rank of the set of C^lam matrices viewed as k^2-vectors.
 
-    For prime k the span is the shifted symmetric matrices, so the rank
-    tops out at k(k+1)/2 once enough eigenvalues are included.  Each C^lam
-    enters the elimination as its residue counts; no k x k matrix is built.
+    (p, q) -> (q - 1, p + 1) keeps q(p + 1), so for every k each C^lam is
+    fixed by the involution (a, b) -> (b - 1, a + 1) mod k.  Its k fixed
+    cells and (k^2 - k)/2 swapped pairs make the span lie in a space of
+    dimension k(k+1)/2 (for prime k the span fills it once enough
+    eigenvalues are included), so the elimination stops when the rank
+    reaches k(k+1)/2.  Each C^lam enters the elimination as its residue
+    counts; no k x k matrix is built.
     The divisor searches, isqrt(lam/2) trial divisions each, and the
     elimination are charged `_SPAN_UNIT` per trial division before any
-    work.  The pricing pass stops at the first eigenvalue that takes the
-    work past the budget, so it keeps at most budget / 4 of them.  An
-    order k < 2 raises InvalidOrder, also when there is no eigenvalue.
+    work, whether or not the elimination stops early.  The pricing pass
+    stops at the first eigenvalue that takes the work past the budget, so
+    it keeps at most budget / 4 of them.  An order k < 2 raises
+    InvalidOrder, also when there is no eigenvalue.
     """
     _check_order(k)
     kept, work = [], 0
@@ -276,7 +295,7 @@ def span_dimension(k: int, lambdas, budget: int | None = DEFAULT_BUDGET) -> int:
         if budget is not None and work > budget:
             break
     charge(work, budget)
-    return _integer_rank(_residue_counts(k, lam) for lam in kept)
+    return _integer_rank((_residue_counts(k, lam) for lam in kept), k * (k + 1) // 2)
 
 
 def _totient(k: int) -> int:

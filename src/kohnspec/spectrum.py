@@ -25,11 +25,11 @@ too.  Tables, counts and comparisons check their work with `core.charge`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, compress, cycle, groupby, islice, repeat
 from math import isqrt
 from operator import add
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_BUDGET,
@@ -41,8 +41,7 @@ from .core import (
 from .invariant import _dot, _profile_rows, base_dim_table, dim_cell
 
 
-@dataclass(frozen=True)
-class Contributor:
+class Contributor(NamedTuple):
     """One bidegree (p, q) contributing a positive dimension to an eigenvalue."""
 
     p: int
@@ -50,8 +49,7 @@ class Contributor:
     dim: int
 
 
-@dataclass
-class SpectrumTable:
+class SpectrumTable(NamedTuple):
     """Sorted map eigenvalue -> multiplicity of the eigenvalues <= lambda_max.
 
     Only eigenvalues with positive multiplicity appear.

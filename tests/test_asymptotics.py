@@ -195,6 +195,8 @@ def test_bound_params_validation():
         BoundParams(N=-1, m=1, d=1, n=3)
     with pytest.raises(ValueError):
         BoundParams(N=0, m=0, d=1, n=3)
+    with pytest.raises(ValueError):
+        BoundParams(N=0, m=1, d=0, n=3)
 
 
 def test_ratio_decay_single_term():

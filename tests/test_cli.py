@@ -381,6 +381,18 @@ def test_isospec_isometric_pair_is_not_charged_for_sieves(capsys):
     assert json.loads(out)["spectra_equal"] is True
 
 
+def test_isospec_searches_for_the_witness_once(capsys, monkeypatch):
+    calls = []
+    search = isospectral.condition4_witness
+    monkeypatch.setattr(isospectral, "condition4_witness",
+                        lambda *pair: calls.append(pair) or search(*pair))
+    for other, witness in (("5:1,3", {"a": 3, "sigma": [2, 1]}), ("5:1,1", None)):
+        calls.clear()
+        code, out, _ = run(capsys, "isospec", "--lens", "5:1,2", "--lens", other)
+        assert code == 0 and json.loads(out)["witness"] == witness
+        assert len(calls) == 1
+
+
 def test_isospec_budget_flag(capsys):
     argv = ["isospec", "--lens", "7:1,2", "--lens", "7:1,3", "--lambda-max", "100"]
     code, out, err = run(capsys, *argv, "--budget", "10")
@@ -609,3 +621,12 @@ def test_cli_import_leaves_numpy_out():
         timeout=20,
     )
     assert proc.stdout == "False\n", proc.stderr
+
+
+def test_cli_import_generates_no_dataclasses():
+    # -S leaves out site, which may import either module itself.
+    code = ("import sys, kohnspec.cli; kohnspec.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=20)
+    assert proc.stdout == "[]\n", proc.stderr

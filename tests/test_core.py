@@ -19,6 +19,9 @@ from kohnspec.core import (
 def test_valid_space_passes_through():
     space = make_lens_space(2, 5, [1, 2])
     assert space == LensSpace(n=2, k=5, weights=(1, 2))
+    assert {space: 1}[LensSpace(2, 5, (1, 2))] == 1  # Hashable: spaces key memo tables.
+    with pytest.raises(AttributeError):
+        space.k = 7
 
 
 def test_weights_reduced_mod_k():

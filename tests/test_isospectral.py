@@ -18,6 +18,8 @@ from kohnspec.core import (
 from kohnspec.invariant import dim_cell, dim_invariant_bruteforce
 from kohnspec.isospectral import (
     IsometryWitness,
+    _integer_rank,
+    _residue_counts,
     _totient,
     c_matrix,
     classify_all,
@@ -410,6 +412,31 @@ def test_span_builds_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(isospectral, "c_matrix", None)
     monkeypatch.setattr(isospectral.CMatrix, "__init__", None)
     assert span_dimension(7, range(2, 400, 2)) == 28
+
+
+@given(st.integers(2, 40), st.integers(1, 20000).map(lambda h: 2 * h))
+def test_residue_counts_are_fixed_by_the_shifted_transpose(k, lam):
+    # (p, q) -> (q - 1, p + 1) keeps q(p + 1): C^lam(a, b) = C^lam(b - 1, a + 1).
+    counts = _residue_counts(k, lam)
+    image = {(cell % k - 1) % k * k + (cell // k + 1) % k: c for cell, c in counts.items()}
+    assert image == counts
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7, 11, 13, 8, 12])
+def test_span_stops_at_the_ceiling_with_the_full_rank(k, monkeypatch):
+    from kohnspec import isospectral
+
+    lambdas = range(2, 601, 2)
+    full = _integer_rank(_residue_counts(k, lam) for lam in lambdas)
+    read = []
+    monkeypatch.setattr(isospectral, "_residue_counts",
+                        lambda k, lam: read.append(lam) or _residue_counts(k, lam))
+    assert span_dimension(k, lambdas) == full
+    # Prime k reaches the k(k+1)/2 ceiling and reads no row after it;
+    # 8 and 12 stay below it and read every row.
+    reached = full == k * (k + 1) // 2
+    assert reached == (k not in (8, 12))
+    assert (len(read) < len(lambdas)) == reached
 
 
 def test_span_validates_and_charges_before_any_work():
