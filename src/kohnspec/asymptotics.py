@@ -47,6 +47,10 @@ class BoundParams(_BoundFields):
             raise ValueError("need N >= 0, m >= 1, d >= 1")
         return super().__new__(cls, N, m, d, n)
 
+    @classmethod
+    def _make(cls, iterable):  # Through the check; `_replace` calls `_make`.
+        return cls(*iterable)
+
 
 class BoundCheck(NamedTuple):
     lhs: Fraction

@@ -66,10 +66,10 @@ def genfunc_series(space: LensSpace, z: complex, w: complex, cutoff: int) -> com
     The integer grid of dimensions is built once per (space, cutoff) and
     kept for the next sample points (a small bounded cache).  Each row is
     summed against the powers of w, and the row sums against those of z.
-    Inside |z|, |w| <= 0.9 the dropped tail is geometric: the dimensions
-    grow polynomially while |z|^p |w|^q decays, so cutoffs around 60 put
-    the truncation error far below double-precision comparisons at
-    moduli <= 0.5.
+    As 0 <= dim H^G <= dim H, at |z|, |w| <= r the dropped tail is at most
+    (1 - r^2)/(1 - r)^(2n), the sphere's whole sum, minus its sum over
+    p, q <= cutoff: at cutoff 60, below 1e-10 for n <= 5 at `DISK_RADIUS`,
+    but 25.8 for n = 2 at |z| = |w| = 0.9.
     """
     _check_point(z, w)
     w_powers = [*accumulate(repeat(w, cutoff), mul, initial=1 + 0j)]

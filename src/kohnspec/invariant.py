@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import chain, pairwise, repeat
-from math import comb
+from math import comb, gcd
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterator, NamedTuple
 
@@ -35,7 +35,6 @@ from .core import (
     UnsupportedDimension,
     charge,
     check_bidegree,
-    gcd_invariant,
 )
 
 
@@ -77,7 +76,7 @@ def dim_invariant_bruteforce(
     return count
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _profile_rows(weights: tuple[int, ...], k: int) -> Callable[[int], tuple[int, ...]]:
     """Residue profiles of the weight list, as a memoized function of degree.
 
@@ -120,6 +119,16 @@ def exponent_profile(space: LensSpace, degree: int) -> tuple[int, ...]:
     """
     check_bidegree(degree, 0)
     return _profile_rows(space.weights, space.k)(degree)
+
+
+def _congruence_gcd(space: LensSpace) -> int:
+    """g = gcd(k, l_2 - l_1, ..., l_n - l_1): dim(p, q) = N(p, q) = 0 unless g | p - q.
+
+    Each l_i = l_1 mod g, so sum l_i (alpha_i - beta_i) = l_1 (p - q) mod g.
+    An invariant monomial makes that 0 mod k, hence mod g, as g | k, and
+    l_1 is a unit, so g | p - q.  For n = 2, g is `gcd_invariant`.
+    """
+    return gcd(space.k, *(l - space.weights[0] for l in space.weights))
 
 
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -170,7 +179,7 @@ def _solution(space: LensSpace) -> tuple[int, Callable[[int], int]]:
     k | r, so dim = floor((p - a)/s) + floor((q + a)/s) + 1.
     """
     l1, l2 = space.weights
-    d = gcd_invariant(space)
+    d = _congruence_gcd(space)
     s = space.k // d
     c = -l2 * pow((l1 - l2) // d, -1, s) % s
 
@@ -230,7 +239,7 @@ def dim_invariant_recurrence(
         raise UnsupportedDimension(f"recurrence needs n = 2, got n={space.n}")
     check_bidegree(p, q)
     charge(space.k**2, budget)
-    k, d = space.k, gcd_invariant(space)
+    k, d = space.k, _congruence_gcd(space)
     if (p - q) % d:
         return 0
     return base_dim_table(space)[p % k][q % k] + d * (p // k + q // k)
@@ -260,8 +269,9 @@ def dim_grid(space: LensSpace, size: int) -> tuple[tuple[int, ...], ...]:
     which solves its congruence once per diagonal (2k - 1 solves would
     cover a k x k table; its upper half needs k).  For
     n >= 3 it takes the dot product of profile rows p and q into N(p, q)
-    and differences that along the diagonal, dim = N(p, q) - N(p-1, q-1):
-    `grid_cells(size)` dot products in all.
+    for q = p mod g, g = `_congruence_gcd`, leaves N = 0 in the other
+    cells, and differences that along the diagonal, dim = N(p, q) -
+    N(p-1, q-1): at most `grid_cells(size)` dot products, about 1/g of them.
     """
     if space.n == 2:
         # `_closed_form`, with the congruence solved once per diagonal q - p = r.
@@ -270,9 +280,11 @@ def dim_grid(space: LensSpace, size: int) -> tuple[tuple[int, ...], ...]:
         uppers = ((0 if a < 0 else (p - a) // s + (q + a) // s + 1
                    for q, a in zip(range(p, size + 1), solved)) for p in range(size + 1))
     else:
-        row = _profile_rows(space.weights, space.k)
+        row, g = _profile_rows(space.weights, space.k), _congruence_gcd(space)
         columns = [row(q) for q in range(size + 1)]
-        counts = (tuple(map(partial(_dot, row(p)), columns[p:])) for p in range(size + 1))
+        counts = [[0] * (size + 1 - p) for p in range(size + 1)]
+        for p, upper in enumerate(counts):
+            upper[::g] = map(partial(_dot, row(p)), columns[p::g])
         # N(p-1, q-1) over q >= p is row p - 1 of `counts`, zero on the edge.
         uppers = (map(sub, now, below) for below, now in pairwise(chain([repeat(0)], counts)))
     grid: list[tuple[int, ...]] = []

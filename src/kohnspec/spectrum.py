@@ -36,9 +36,8 @@ from .core import (
     InvalidEigenvalue,
     LensSpace,
     charge,
-    gcd_invariant,
 )
-from .invariant import _dot, _profile_rows, base_dim_table, dim_cell
+from .invariant import _congruence_gcd, _dot, _profile_rows, base_dim_table, dim_cell
 
 
 class Contributor(NamedTuple):
@@ -159,10 +158,10 @@ def _line_cells(half: int, n: int, step: int):
 def _line_dims(space: LensSpace, half: int):
     """(step, dims): dims(f, ms) yields dim(f, m) for m in the range ms.
 
-    dim(f, m) > 0 only for every step-th m, and each range ms given
-    starts at such an m.  n >= 3: step 1 and one `dim_cell` call per m.
-    n = 2: dim vanishes off d | f - m, d = gcd(k, l_1 - l_2), so the step
-    is d; at m = f mod d + d j, by the shift reduction that
+    dim vanishes off g | f - m, g = `_congruence_gcd`, so the step is g
+    and each range ms given starts at an m = f mod g.  n >= 3: one
+    `dim_cell` call per m.  n = 2: g is d = gcd(k, l_1 - l_2); at
+    m = f mod d + d j, by the shift reduction that
     `dim_invariant_recurrence` uses,
     dim = base[f mod k][m mod k] + d floor(f/k) + d floor(j/period),
     period = k/d.  The base part repeats with that period: a slice of
@@ -170,10 +169,10 @@ def _line_dims(space: LensSpace, half: int):
     floors[i] = d floor(i/period), at offset j + period floor(f/k); a
     line has m <= half and f <= isqrt(half), which bounds the list.
     """
+    k, d = space.k, _congruence_gcd(space)  # g, named d as for n = 2
     if space.n != 2:
         cell = dim_cell(space)
-        return 1, lambda f, ms: map(cell, repeat(f), ms)
-    k, d = space.k, gcd_invariant(space)
+        return d, lambda f, ms: map(cell, repeat(f), ms)
     period, base = k // d, base_dim_table(space)
     # Each multiple of d, period times: at least (half + isqrt(half)) / d + 1.
     blocks = range(0, d * ((half + isqrt(half)) // k + 1), d)
@@ -300,7 +299,7 @@ def _count_recurrence(space: LensSpace, halves: list[int]) -> list[int]:
     takes the base row's prefix sums at k and e and the number of
     admissible residues, k/d per full block and `part` in the last one.
     """
-    k, d = space.k, gcd_invariant(space)
+    k, d = space.k, _congruence_gcd(space)
     # One prefix table serves rows and columns: the base table is symmetric.
     prefix = [list(accumulate(row, initial=0)) for row in base_dim_table(space)]
 
@@ -391,9 +390,7 @@ def _provenance(table: SpectrumTable):
     The cells are the sieve's: each block of _BLOCK halves walks every line
     of `_line_cells` over the part whose halves fall in the block, takes
     its dims from `_line_dims` and files each cell of positive dim under
-    its half.  Only blocks holding a listed eigenvalue are walked, and for
-    n >= 3, whose dims are one call per cell, only cells of listed
-    eigenvalues are evaluated (any iterable of m serves there).  For a
+    its half.  Only blocks with an eigenvalue are walked.  For a
     half h, the cells (u, v) with u v = h have p = h/u - n + 1 falling as u
     grows, and a column's u exceeds isqrt(half), which bounds a row's: the
     columns by v ascending, then the rows by u descending, file each
@@ -409,11 +406,6 @@ def _provenance(table: SpectrumTable):
         low = block * _BLOCK
         high = min(low + _BLOCK, half + 1)
         buckets = [[] for _ in range(high - low)]
-        listed = None
-        if space.n != 2:  # A dim call per cell: call it only for listed halves.
-            listed, entries = bytearray(high - low), list(entries)
-            for lam, _ in entries:
-                listed[lam // 2 - low] = 1
         for shift, f, ms, halves in lines:
             start, stride = halves.start, halves.step
             if start >= high:  # A column that starts past the block.
@@ -424,11 +416,7 @@ def _provenance(table: SpectrumTable):
             part = ms[first : -((start - high) // stride)]
             if not part:
                 continue
-            at = start + first * stride - low
-            targets = buckets[at::stride]
-            if listed is not None:
-                keep = listed[at::stride]
-                part, targets = list(compress(part, keep)), list(compress(targets, keep))
+            targets = buckets[start + first * stride - low :: stride]
             ds = list(dims(f, part))
             cells = zip(part, repeat(f), ds) if shift else zip(repeat(f), part, ds)
             for bucket, cell in zip(compress(targets, ds), compress(cells, ds)):

@@ -197,6 +197,12 @@ def test_bound_params_validation():
         BoundParams(N=0, m=0, d=1, n=3)
     with pytest.raises(ValueError):
         BoundParams(N=0, m=1, d=0, n=3)
+    # `_make` and `_replace` build through the same check.
+    with pytest.raises(ValueError):
+        BoundParams._make((-1, 1, 1, 3))
+    with pytest.raises(ValueError):
+        BoundParams(N=0, m=1, d=1, n=3)._replace(d=0)
+    assert BoundParams._make((2, 1, 1, 3))._replace(N=4) == BoundParams(4, 1, 1, 3)
 
 
 def test_ratio_decay_single_term():

@@ -26,7 +26,10 @@ def test_every_target_resolves():
         target = getattr(importlib.import_module("kohnspec." + module_name), func)
         assert callable(target), f"{module_name}.{func}"
         if kind == "cache":
+            # The tracer rebuilds the memo with its own parameters, so an
+            # unbounded one would grow unseen in traced runs too.
             assert callable(getattr(target, "cache_parameters", None)), func
+            assert target.cache_parameters()["maxsize"] is not None, func
 
 
 def test_traced_arguments_keep_their_positions():

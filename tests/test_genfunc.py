@@ -1,11 +1,13 @@
 import cmath
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
 from kohnspec.core import DomainViolation, InsufficientSamples, make_lens_space
 from kohnspec.genfunc import (
+    DISK_RADIUS,
     _series_grid,
     genfunc_closed,
     genfunc_series,
@@ -14,11 +16,25 @@ from kohnspec.genfunc import (
     unit_disk_points,
 )
 from kohnspec.invariant import dim_invariant_dp
+from kohnspec.sphere import dim_hpq
 
 
 def test_constant_term_is_one():
     assert abs(genfunc_closed(make_lens_space(2, 1, [1, 1]), 0j, 0j) - 1) < 1e-15
     assert abs(genfunc_series(make_lens_space(2, 3, [1, 2]), 0j, 0j, 5) - 1) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_series_tail_bound_at_the_sample_radius(n):
+    # 0 <= dim H^G <= dim H, so for |z|, |w| <= r the tail past the cutoff is
+    # at most the sphere's whole sum (1 - r^2)/(1 - r)^(2n) minus its part
+    # over p, q <= cutoff.  Exact at r = DISK_RADIUS and cutoff 60.
+    r, cutoff = Fraction(DISK_RADIUS), 60
+    powers = [r**j for j in range(2 * cutoff + 1)]
+    kept = sum(dim_hpq(n, p, q) * powers[p + q]
+               for p in range(cutoff + 1) for q in range(cutoff + 1))
+    bound = (1 - r * r) / (1 - r) ** (2 * n) - kept
+    assert 0 < bound < Fraction(1, 10**10)
 
 
 def test_closed_matches_series():

@@ -2,7 +2,7 @@ import math
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kohnspec.core import ResourceLimit, UnsupportedDimension, make_lens_space
 from kohnspec import invariant, spectrum
@@ -316,6 +316,51 @@ def test_base_table_cache_is_bounded():
     for space in spaces:
         assert base_dim_table(space)[0][0] == 1
     assert len(spaces) > 8 and base_dim_table.cache_info().currsize <= 8
+
+
+def test_profile_cache_is_bounded():
+    # 20 n = 3 spaces, each counted through two profiles (plain and cumulative).
+    spaces = [make_lens_space(3, k, [1, 1, k - 1]) for k in range(2, 22)]
+    cold = []
+    for space in spaces:
+        _profile_rows.cache_clear()
+        cold.append(spectrum.lens_counting(space, 600))
+    assert [spectrum.lens_counting(space, 600) for space in spaces] == cold
+    info = _profile_rows.cache_info()
+    assert info.misses >= 40 and info.currsize <= _profile_rows.cache_parameters()["maxsize"]
+    assert [spectrum.lens_counting(space, 600) for space in spaces[::-1]] == cold[::-1]
+
+
+@st.composite
+def congruence_spaces(draw):
+    """n = 3, 4 spaces with g = gcd(k, l_2 - l_1, ..., l_n - l_1) > 1.
+
+    k is a multiple of some g >= 2 and every weight is a unit = l_1 mod g;
+    k = g forces equal weights.
+    """
+    n, g = draw(st.sampled_from((3, 4))), draw(st.integers(2, 7))
+    k = g * draw(st.integers(1, 4))
+    units = [a for a in range(1, k) if math.gcd(a, k) == 1]
+    first = draw(st.sampled_from(units))
+    rest = st.sampled_from([u for u in units if (u - first) % g == 0])
+    return make_lens_space(n, k, [first, *draw(st.lists(rest, min_size=n - 1, max_size=n - 1))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(congruence_spaces(), st.integers(0, 8), st.integers(0, 8))
+@example(make_lens_space(3, 7, [1, 1, 1]), 3, 5)
+@example(make_lens_space(3, 12, [1, 5, 7]), 4, 1)
+@example(make_lens_space(3, 49, [1, 8, 22]), 8, 2)
+@example(make_lens_space(4, 8, [1, 3, 5, 7]), 0, 3)
+def test_cells_off_the_congruence_vanish(space, p, q):
+    g = invariant._congruence_gcd(space)
+    assert g > 1
+    assume((p - q) % g)
+    assert dim_invariant_bruteforce(space, p, q) == 0
+    size = 10
+    assert dim_grid(space, size) == tuple(
+        tuple(dim_invariant_dp(space, a, b) for b in range(size + 1)) for a in range(size + 1)
+    )
 
 
 def test_recurrence_needs_n2():

@@ -281,10 +281,11 @@ def test_provenance_for_n2_calls_no_dim_and_enumerates_no_divisors(monkeypatch):
     assert [spectrum_to_json(table, contributors=True) for table in tables] == expected
 
 
-def test_provenance_for_n3_calls_dim_only_for_listed_eigenvalues(monkeypatch):
+def test_provenance_for_n3_calls_dim_only_where_g_divides_p_minus_q(monkeypatch):
     from kohnspec import spectrum
 
-    # Of its 2,068 cells walked in blocks, 1,486 belong to the 299 listed eigenvalues.
+    # g = gcd(12, 4, 6) = 2: of the 2,068 cells under the cutoff, the
+    # walk evaluates the 1,036 with p = q mod 2, and no others.
     table = build_spectrum(make_lens_space(3, 12, [1, 5, 7]), 800)
     expected = json.dumps(spectrum_to_json_obj(table, True), indent=2)
     calls, dim_cell = [], spectrum.dim_cell
@@ -295,5 +296,5 @@ def test_provenance_for_n3_calls_dim_only_for_listed_eigenvalues(monkeypatch):
 
     monkeypatch.setattr(spectrum, "dim_cell", counted)
     assert spectrum_to_json(table, contributors=True) == expected
-    bidegrees = [cell for lam in table.by_eigenvalue for cell in spectrum._bidegrees_for(lam, 3)]
-    assert len(calls) == len(bidegrees) == 1486
+    assert all((p - q) % 2 == 0 for p, q in calls)
+    assert len(calls) == 1036

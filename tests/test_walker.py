@@ -103,6 +103,9 @@ def test_sweeps_match_the_walker(space, half_stride, samples):
 
 @settings(max_examples=40, deadline=None)
 @given(lens_spaces(), st.integers(0, 150).map(lambda h: 2 * h))
+@example(make_lens_space(3, 12, [1, 5, 7]), 300)  # g = 2, from the even k
+@example(make_lens_space(3, 49, [1, 8, 22]), 300)  # g = 7
+@example(make_lens_space(3, 7, [1, 1, 1]), 300)  # g = k: equal weights
 def test_sieve_tables_match_divisor_enumeration(space, lam):
     by_divisors = {
         m: mult for m in range(2, lam + 1, 2) if (mult := multiplicity(space, m))
