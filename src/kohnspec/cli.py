@@ -22,11 +22,12 @@ import sys
 from . import asymptotics, genfunc, isospectral, spectrum
 from .core import DEFAULT_BUDGET, KohnSpecError, LensSpace, charge, parse_lens_spec
 from .invariant import (
+    _cell_work,
+    _grid_work,
     dim_invariant,
     dim_invariant_bruteforce,
     dim_invariant_dp,
     dim_invariant_recurrence,
-    grid_cells,
 )
 
 BUDGET_ENV = "KOHN_LENS_BUDGET"
@@ -96,9 +97,7 @@ def cmd_dim(args) -> int:
     if method is not None:
         space = args.lens
         if args.method == "dp" or space.n > 2:
-            # The profile fills rows t < nk, then interpolates rows p, q and below.
-            rows = min(max(args.p, args.q) + 1, space.n * space.k) + 2
-            charge(spectrum._profile_work(space, rows), _resolve_budget(args))
+            charge(_cell_work(space, args.p, args.q), _resolve_budget(args))
         print(method(space, args.p, args.q))
     else:
         charged = {
@@ -231,11 +230,9 @@ def cmd_span(args) -> int:
 
 
 def cmd_genfunc_check(args) -> int:
-    space, cells = args.lens, (args.cutoff + 1) ** 2
-    # The symmetric grid's cells q >= p (k per n >= 3 cell), then per point the
-    # series over all cells and k closed-form terms.
-    grid = grid_cells(args.cutoff) * (space.k if space.n > 2 else 1)
-    charge(grid + args.points * (cells + space.k * space.n), _resolve_budget(args))
+    space, point = args.lens, (args.cutoff + 1) ** 2 + args.lens.k * args.lens.n
+    # The grid, then per point the series over all cells and kn closed-form factors.
+    charge(_grid_work(space, args.cutoff) + args.points * point, _resolve_budget(args))
     points = genfunc.unit_disk_points(args.points, seed=args.seed)
     deviation = genfunc.max_deviation(space, points, args.cutoff)
     _emit_json({"lens": str(args.lens), "points": args.points, "cutoff": args.cutoff,

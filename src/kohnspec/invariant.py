@@ -231,14 +231,14 @@ def dim_invariant_recurrence(
     """Invariant dimension via the n = 2 reduction to the base table.
 
     Returns 0 when d = gcd(k, l_1 - l_2) does not divide p - q; otherwise
-    base[p%k][q%k] + d*(floor(p/k) + floor(q/k)).  The table's k^2
-    entries are charged against the budget, even when cached; over it
-    raises ResourceLimit before the fill.
+    base[p%k][q%k] + d*(floor(p/k) + floor(q/k)).  The table's
+    `_grid_work`, k^2, is charged against the budget, even when cached;
+    over it raises ResourceLimit before the fill.
     """
     if space.n != 2:
         raise UnsupportedDimension(f"recurrence needs n = 2, got n={space.n}")
     check_bidegree(p, q)
-    charge(space.k**2, budget)
+    charge(_grid_work(space, space.k - 1), budget)
     k, d = space.k, _congruence_gcd(space)
     if (p - q) % d:
         return 0
@@ -256,9 +256,33 @@ def dim_cell(space: LensSpace) -> Callable[[int, int], int]:
     return _closed_form(space) if space.n == 2 else partial(dim_invariant_dp, space)
 
 
-def grid_cells(size: int) -> int:
-    """The cells q >= p that `dim_grid` of this size computes, (size + 1)(size + 2)/2."""
-    return (size + 1) * (size + 2) // 2
+# The fixed cost of one pass over a profile row, in units of one entry:
+# with it, k = 2 and k = 9 counts at n = 3 run at about the same time per
+# unit of work charged.
+_ROW_PASS = 6
+
+
+def _profile_work(space: LensSpace, rows: int) -> int:
+    """The charge of building `rows` rows of the space's residue profile."""
+    return rows * space.n * (space.k + _ROW_PASS)
+
+
+def _cell_work(space: LensSpace, p: int, q: int) -> int:
+    """The charge of one convolution cell: profile rows t < nk, then p, q and below."""
+    return _profile_work(space, min(max(p, q) + 1, space.n * space.k) + 2)
+
+
+def _grid_work(space: LensSpace, size: int) -> int:
+    """The charge of `dim_grid(space, size)`, made even when a cache holds it.
+
+    n = 2: its (size + 1)^2 entries, k^2 for a base table.  n >= 3: k per dot
+    product, floor(t/g) + 1 on each diagonal t = q - p, plus size + 1 profile rows.
+    """
+    if space.n == 2:
+        return (size + 1) ** 2
+    c, e = divmod(size, g := _congruence_gcd(space))  # Diagonals t < cg: c blocks of g.
+    dots = g * c * (c + 1) // 2 + (e + 1) * (c + 1)
+    return space.k * dots + _profile_work(space, size + 1)
 
 
 def dim_grid(space: LensSpace, size: int) -> tuple[tuple[int, ...], ...]:
@@ -271,7 +295,7 @@ def dim_grid(space: LensSpace, size: int) -> tuple[tuple[int, ...], ...]:
     n >= 3 it takes the dot product of profile rows p and q into N(p, q)
     for q = p mod g, g = `_congruence_gcd`, leaves N = 0 in the other
     cells, and differences that along the diagonal, dim = N(p, q) -
-    N(p-1, q-1): at most `grid_cells(size)` dot products, about 1/g of them.
+    N(p-1, q-1): the dot products `_grid_work` prices, about 1/g of the cells.
     """
     if space.n == 2:
         # `_closed_form`, with the congruence solved once per diagonal q - p = r.

@@ -24,9 +24,8 @@ from .core import (
     charge,
     gcd_invariant,
 )
-from .invariant import base_dim_table, dim_grid, grid_cells
-from .spectrum import (_bidegrees_for, _check_eigenvalue, _profile_work, _sieve_work,
-                       multiplicity_table)
+from .invariant import _grid_work, base_dim_table, dim_grid
+from .spectrum import _bidegrees_for, _check_eigenvalue, _sieve_work, multiplicity_table
 
 
 class IsometryWitness(NamedTuple):
@@ -127,20 +126,20 @@ def dims_equal(space: LensSpace, other: LensSpace) -> bool:
     < n in floor(p/k) and in floor(q/k), fixed by its values at p, q < nk;
     dim(p, q) = N(p, q) - N(p-1, q-1) fixes N there, so the dimensions on
     the nk x nk box decide.  Charged against `DEFAULT_BUDGET` before any
-    table is built: k^2 per base table, or per box the `grid_cells` dot
-    products of k entries of its symmetric grid plus its nk profile rows.
+    table is built: each space's `_grid_work`, k^2 per base table, or per
+    box k per dot product taken, about 1/g of its cells, plus nk profile rows.
     """
     if space.k != other.k or space.n != other.n:
         raise MismatchedSpaces(
             f"cannot compare {space} with {other}: k and n must agree"
         )
     n, k = space.n, space.k
+    size = k - 1 if n == 2 else n * k - 1
+    charge(_grid_work(space, size) + _grid_work(other, size), DEFAULT_BUDGET)
     if n == 2:
-        charge(2 * k * k, DEFAULT_BUDGET)
         return (gcd_invariant(space) == gcd_invariant(other)
                 and base_dim_table(space) == base_dim_table(other))
-    charge(2 * (grid_cells(n * k - 1) * k + _profile_work(space, n * k)), DEFAULT_BUDGET)
-    return dim_grid(space, n * k - 1) == dim_grid(other, n * k - 1)
+    return dim_grid(space, size) == dim_grid(other, size)
 
 
 def d_invariant_check(space: LensSpace, other: LensSpace) -> bool:

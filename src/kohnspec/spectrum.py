@@ -37,7 +37,8 @@ from .core import (
     LensSpace,
     charge,
 )
-from .invariant import _congruence_gcd, _dot, _profile_rows, base_dim_table, dim_cell
+from .invariant import (_congruence_gcd, _dot, _grid_work, _profile_rows, _profile_work,
+                        base_dim_table, dim_cell)
 
 
 class Contributor(NamedTuple):
@@ -104,8 +105,9 @@ def multiplicity(space: LensSpace, lam: int) -> int:
 
 
 def _sieve_work(space: LensSpace, lambda_max: int) -> int:
-    """The charge of `_sieve`: its cells, plus k^2 for an n = 2 base table.
+    """The charge of `_sieve`: its cells, plus an n = 2 base table's `_grid_work`.
 
+    A cell is one unit, even for n >= 3, where it costs a dot product.
     Every sieve's caller prices it first, so a negative cutoff is
     rejected here, before any charge.
     """
@@ -113,7 +115,8 @@ def _sieve_work(space: LensSpace, lambda_max: int) -> int:
         raise ValueError("lambda_max must be nonnegative")
     # The table is charged even when cached: a verdict must not depend on
     # cache state.
-    return counting_grid_size(space.n, lambda_max) + (space.k**2 if space.n == 2 else 0)
+    table = _grid_work(space, space.k - 1) if space.n == 2 else 0
+    return counting_grid_size(space.n, lambda_max) + table
 
 
 def _sieve(space: LensSpace, lambda_max: int) -> dict[int, int]:
@@ -195,8 +198,7 @@ def build_spectrum(
     More than `budget` (p, q) cells under lambda_max, plus k^2 for an
     n = 2 base table, raise ResourceLimit before any table is built.
     """
-    charge(_sieve_work(space, lambda_max), budget)
-    return SpectrumTable(space, lambda_max, _sieve(space, lambda_max))
+    return SpectrumTable(space, lambda_max, multiplicity_table(space, lambda_max, budget))
 
 
 def multiplicity_table(
@@ -236,35 +238,25 @@ def _counts(spaces, lams, budget: int | None) -> list[list[int]]:
     ]
 
 
-# The fixed cost of one pass over a profile row, in units of one entry:
-# with it, k = 2 and k = 9 counts at n = 3 run at about the same time per
-# unit of work charged.
-_ROW_PASS = 6
-
-
-def _profile_work(space: LensSpace, rows: int) -> int:
-    """The charge of building `rows` rows of the space's residue profile."""
-    return rows * space.n * (space.k + _ROW_PASS)
-
-
 def _work(space: LensSpace, halves: list[int]) -> int:
     """The charge of counting the space at every half-cutoff in `halves`.
 
     `_sum_lines` evaluates at most isqrt(half) rows and as many columns
-    of two lines.  n = 2: k^2 for the base table's fill, k^2 prefix sums,
-    one per line.  n >= 3, two regions: k per dot product, and at most
-    (n + 1)(k + _ROW_PASS) per profile row built: n + 1 passes of k
-    entries, each with a fixed cost (tuple building; an interpolated
-    row's two `comb` calls) that dominates at small k.  The cumulative
-    profile fills its m = (n + 1) k rows t < m and interpolates at most
+    of two lines.  n = 2: the base table's `_grid_work`, k^2, and k^2
+    prefix sums, one per line.  n >= 3, two regions: k per dot product,
+    and per profile row built at most the `_profile_work` of a row of
+    n + 1 weights, as in the cumulative profile: n + 1 passes of k entries,
+    each with a fixed cost (tuple building; an interpolated row's two
+    `comb` calls) that dominates at small k.  The cumulative profile
+    fills its m = (n + 1) k rows t < m and interpolates at most
     min(lines, largest + 1) more; the plain profile builds its rows
     0..isqrt(largest) at most.
     """
     n, k, largest = space.n, space.k, max(halves, default=0)
     lines = sum(3 * isqrt(half) for half in halves)
     if n == 2:  # The fill is charged even when cached, as in `_sieve_work`.
-        return 2 * k * k + lines
-    m, row = (n + 1) * k, (n + 1) * (k + _ROW_PASS)
+        return _grid_work(space, k - 1) + k * k + lines
+    m, row = (n + 1) * k, _profile_work(space, n + 1) // n
     return row * (m + min(lines, largest + 1) + isqrt(largest) + 1) + 2 * k * lines
 
 

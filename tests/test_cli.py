@@ -582,16 +582,19 @@ def test_dim_and_genfunc_check_charge_their_work(capsys, monkeypatch):
     code, out, _ = run(capsys, "dim", "--lens", "7:1,2", "--p", "3", "--q", "1",
                        "--budget", "0")
     assert (code, out) == (0, "0\n")
-    # The grid's 6 cells q >= p, times k at n = 3, and per point the series over
-    # all (cutoff + 1)^2 cells and k n terms.
-    monkeypatch.setenv("KOHN_LENS_BUDGET", str(6 * 7 + 2 * (9 + 7 * 3) - 1))
-    code, out, err = run(capsys, "genfunc-check", "--lens", "7:1,2,3", "--cutoff", "2",
-                         "--points", "2")
-    assert code == 2 and out == "" and "work 102 exceeds budget 101" in err
-    monkeypatch.setenv("KOHN_LENS_BUDGET", "102")
-    code, out, _ = run(capsys, "genfunc-check", "--lens", "7:1,2,3", "--cutoff", "2",
-                       "--points", "2")
-    assert code == 0 and json.loads(out)["cutoff"] == 2
+    # The grid's dot products of k entries: at g = 1 all 6 cells q >= p, at g = 2 the
+    # 4 with g | q - p.  Its 3 profile rows at 3 (k + 6) each.  Per point, the series
+    # over all (cutoff + 1)^2 cells and k n closed-form factors.
+    for lens, work in (("7:1,2,3", 219), ("8:1,3,5", 224)):
+        k = int(lens.split(":")[0])
+        assert work == (6 if k == 7 else 4) * k + 3 * 3 * (k + 6) + 2 * (9 + k * 3)
+        argv = ["genfunc-check", "--lens", lens, "--cutoff", "2", "--points", "2"]
+        monkeypatch.setenv("KOHN_LENS_BUDGET", str(work - 1))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"work {work} exceeds budget {work - 1}" in err
+        monkeypatch.setenv("KOHN_LENS_BUDGET", str(work))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["cutoff"] == 2
 
 
 def test_span_and_cmatrix_budget_flags(capsys):

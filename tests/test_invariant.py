@@ -363,6 +363,33 @@ def test_cells_off_the_congruence_vanish(space, p, q):
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(lens_strategy(n_values=(3, 4), k_max=40), congruence_spaces()),
+       st.integers(0, 120))
+@example(make_lens_space(3, 12, [1, 5, 7]), 35)
+@example(make_lens_space(4, 8, [1, 3, 5, 7]), 24)
+@example(make_lens_space(3, 37, [1, 2, 3]), 111)
+def test_grid_work_prices_the_dot_products_dim_grid_takes(space, size):
+    size %= 3 * space.k + 1
+    calls, dot = [], invariant._dot
+
+    def counted(a, b):
+        calls.append(len(a))
+        return dot(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariant, "_dot", counted)
+        dim_grid(space, size)
+    assert set(calls) <= {space.k}
+    expected = space.k * len(calls) + invariant._profile_work(space, size + 1)
+    assert invariant._grid_work(space, size) == expected
+
+
+@given(n2_spaces)
+def test_grid_work_of_an_n2_base_table_is_k_squared(space):
+    assert invariant._grid_work(space, space.k - 1) == space.k**2
+
+
 def test_recurrence_needs_n2():
     with pytest.raises(UnsupportedDimension):
         dim_invariant_recurrence(make_lens_space(3, 5, [1, 2, 3]), 1, 1)

@@ -218,6 +218,9 @@ def test_dims_equal_grid_path_detects_difference():
     first = make_lens_space(3, 7, [1, 1, 1])
     second = make_lens_space(3, 7, [1, 2, 3])
     assert not dims_equal(first, second)
+    # g = 2: 74,112 dot products of 128 entries, 9,795,072 in all, fit the default budget.
+    first, second = make_lens_space(3, 128, [1, 3, 5]), make_lens_space(3, 128, [1, 3, 9])
+    assert not dims_equal(first, second)
 
 
 # Weights 1 + jm mod m^2: 5-dimensional lens spaces whose invariant
@@ -275,15 +278,21 @@ def _charge_of_dims_equal(monkeypatch, space) -> int:
 
 
 def test_dims_equal_charges_the_symmetric_grid(monkeypatch):
-    from kohnspec.spectrum import _profile_work
+    from kohnspec.invariant import _profile_work
 
-    # The 192 x 192 box computes 192 * 193 / 2 cells of 64 entries, not 192^2.
+    # g = 8: of the 192 x 192 box's 192 * 193 / 2 cells q >= p, the 2,400 with
+    # 8 | q - p take a dot product of 64 entries.
     space = make_lens_space(3, 64, [1, 9, 25])
-    expected = 2 * (192 * 193 // 2 * 64 + _profile_work(space, 192))
-    assert _charge_of_dims_equal(monkeypatch, space) == expected == 2_452_224
-    # So a k = 100 pair, 9.2M of work, fits the default budget.
+    expected = 2 * (2_400 * 64 + _profile_work(space, 192))
+    assert _charge_of_dims_equal(monkeypatch, space) == expected == 387_840
+    # g = 2 prices about half the k = 100 box; at g = 1 every cell q >= p is priced.
     charged = _charge_of_dims_equal(monkeypatch, make_lens_space(3, 100, [1, 3, 7]))
-    assert charged == 9_220_800 <= DEFAULT_BUDGET
+    assert charged == 4_720_800
+    space = make_lens_space(3, 101, [1, 3, 7])
+    expected = 2 * (303 * 304 // 2 * 101 + _profile_work(space, 303))
+    assert _charge_of_dims_equal(monkeypatch, space) == expected == 9_497_838 <= DEFAULT_BUDGET
+    charged = _charge_of_dims_equal(monkeypatch, make_lens_space(3, 200, [1, 3, 7]))
+    assert charged == 36_861_600 > DEFAULT_BUDGET
 
 
 def test_d_invariant_examples():
