@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain, repeat
 
 from . import asymptotics, genfunc, isospectral, spectrum
 from .core import DEFAULT_BUDGET, KohnSpecError, LensSpace, charge, parse_lens_spec
@@ -202,7 +203,8 @@ def cmd_classify(args) -> int:
               % (args.k, "true" if guaranteed else "false"))
     sep = ""
     for rep, members in classes.items():  # Never empty, nor is any class.
-        out.write(sep + _CLASS % rep + ",\n".join(_MEMBER % m for m in members))
+        template = ",\n".join(repeat(_MEMBER, len(members)))
+        out.write(sep + _CLASS % rep + template % tuple(chain.from_iterable(members)))
         sep = "\n      ]\n    },\n"
     out.write("\n      ]\n    }\n  ]\n}\n")
     return 0

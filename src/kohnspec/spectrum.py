@@ -5,7 +5,8 @@ the invariant dimensions over all (p, q) with that eigenvalue.  A table up
 to a cutoff is one sieve of multiplicities, one pass over the O(sqrt(lam))
 lines of the hyperbola split below.  The eigenvalues along a line are
 evenly spaced, so each line is one strided slice add; for n = 2 its
-dimensions come from slices of the base table and make no call per cell.
+dimensions are one slice of a template built from the base table, with
+no Python step per cell.
 A single eigenvalue, and its per-(p, q) provenance, is answered by
 enumerating the divisors of lam/2.  `write_json` streams a whole table's
 provenance from the sieve's own lines instead: a block of eigenvalues at
@@ -127,17 +128,51 @@ def _sieve(space: LensSpace, lambda_max: int) -> dict[int, int]:
     coordinate times the running one.  dim(p, q) = dim(q, p), as
     conjugation maps the invariants of bidegree (p, q) onto those of (q, p),
     so a line runs one bidegree coordinate m with the other, f, fixed.  Its
-    cells of positive dim, and their eigenvalues, are evenly spaced.
+    cells of positive dim, and their eigenvalues, are evenly spaced, so a
+    line is one strided slice add.  n = 2 takes a line's dims as one slice
+    of a template per residue f mod k (`_sliced_dims`), once the table is
+    long enough for each template to serve several lines.
     """
     if lambda_max < 2:  # The least eigenvalue is 2.
         return {}
     half = lambda_max // 2
     by_half = [0] * (half + 1)
     step, dims = _line_dims(space, half)
-    for _, f, ms, halves in _line_cells(half, space.n, step):
+    lines = list(_line_cells(half, space.n, step))
+    # Then every residue mod k has two rows and two columns or more, so a
+    # template serves several lines; below that, building it costs more
+    # than the lazy rows it replaces.
+    if space.n == 2 and isqrt(half) >= 2 * space.k:
+        dims = _sliced_dims(space, lines, dims)
+    for _, f, ms, halves in lines:
         line = slice(halves.start, halves.stop, halves.step)
         by_half[line] = map(add, by_half[line], dims(f, ms))
-    return {2 * h: m for h, m in enumerate(by_half) if m}
+    return dict(compress(zip(range(0, 2 * half + 1, 2), by_half), by_half))
+
+
+def _sliced_dims(space: LensSpace, lines: list, dims):
+    """n = 2: `_line_dims`' dims(f, ms) for the given lines, each as one list slice.
+
+    With j = ms.start // d, a line's dims are T[r][j + period floor(f/k):]
+    for r = f mod k, where the template T[r][i] = base[r][r mod d :: d][i mod
+    period] + d floor(i/period): shifting by period floor(f/k) adds the
+    d floor(f/k) term.  T[r] is dims' own lazy row for f = r, built once,
+    as long as the longest of its lines needs.
+    """
+    k, d = space.k, _congruence_gcd(space)
+    period = k // d
+    lengths = [0] * k
+    for _, f, ms, _ in lines:
+        r = f % k
+        lengths[r] = max(lengths[r], ms.start // d + period * (f // k) + len(ms))
+    templates = [list(dims(r, range(r % d, r % d + d * length, d)))
+                 for r, length in enumerate(lengths)]
+
+    def sliced(f: int, ms: range) -> list[int]:
+        offset = ms.start // d + period * (f // k)
+        return templates[f % k][offset : offset + len(ms)]
+
+    return sliced
 
 
 def _line_cells(half: int, n: int, step: int):
@@ -170,7 +205,9 @@ def _line_dims(space: LensSpace, half: int):
     period = k/d.  The base part repeats with that period: a slice of
     base row f mod k, cycled.  The floor part is a slice of one list
     floors[i] = d floor(i/period), at offset j + period floor(f/k); a
-    line has m <= half and f <= isqrt(half), which bounds the list.
+    line has m <= half and f <= isqrt(half), which bounds the list.  The
+    rows are lazy, so the streaming writer holds no more than a block of
+    them; `_sieve` materializes them once per residue (`_sliced_dims`).
     """
     k, d = space.k, _congruence_gcd(space)  # g, named d as for n = 2
     if space.n != 2:
@@ -340,9 +377,12 @@ def counting_grid_size(n: int, lam: int) -> int:
 
 
 def spectrum_to_csv(table: SpectrumTable) -> str:
-    """Two-column CSV `lambda,multiplicity`, one row per eigenvalue."""
-    return "".join(["lambda,multiplicity\n",
-                    *(f"{lam},{m}\n" for lam, m in table.by_eigenvalue.items())])
+    """Two-column CSV `lambda,multiplicity`, one row per eigenvalue.
+
+    The rows are one `%` of a per-count template, with no step per row.
+    """
+    items = table.by_eigenvalue.items()
+    return "lambda,multiplicity\n" + ("%d,%d\n" * len(items)) % tuple(chain.from_iterable(items))
 
 
 _ENTRY = '    {\n      "lambda": %d,\n      "multiplicity": %d'
@@ -411,7 +451,7 @@ def _provenance(table: SpectrumTable):
             targets = buckets[start + first * stride - low :: stride]
             ds = list(dims(f, part))
             cells = zip(part, repeat(f), ds) if shift else zip(repeat(f), part, ds)
-            for bucket, cell in zip(compress(targets, ds), compress(cells, ds)):
-                bucket.extend(cell)  # Flat: a formatted cell takes twice the memory.
+            # Flat: a formatted cell takes twice the memory.
+            any(map(list.extend, compress(targets, ds), compress(cells, ds)))
         for lam, m in entries:
             yield lam, m, buckets[lam // 2 - low]

@@ -151,6 +151,21 @@ def test_csv_round_trip():
     )
 
 
+@pytest.mark.parametrize("space, lam, entries", [
+    (make_lens_space(2, 3, [1, 2]), 1, 0),  # no eigenvalue: the header alone
+    (SPHERE3, 2, 1),
+    (make_lens_space(2, 30, [1, 7]), 3000, None),  # d = 6
+    (SPHERE3, 30000, 15000),  # every even eigenvalue has a cell on the sphere
+])
+def test_csv_is_the_per_entry_join(space, lam, entries):
+    table = build_spectrum(space, lam)
+    if entries is not None:
+        assert len(table.by_eigenvalue) == entries
+    expected = "lambda,multiplicity\n" + "".join(
+        f"{lam},{m}\n" for lam, m in table.by_eigenvalue.items())
+    assert spectrum_to_csv(table) == expected
+
+
 def test_json_round_trip():
     space = make_lens_space(2, 5, [1, 2])
     table = build_spectrum(space, 30)

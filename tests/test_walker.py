@@ -135,6 +135,10 @@ def walked_table(space, lambda_max):
 @example(make_lens_space(2, 30, [1, 7]), 2999)  # d = 6 divides l_1 - l_2 and k
 @example(make_lens_space(2, 40, [3, 23]), 2002)  # d = 20
 @example(make_lens_space(2, 1, [1, 1]), 2001)  # the sphere
+# Templates for many residues, sliced at nonzero offsets (isqrt(lam/2) >= 2k).
+@example(make_lens_space(2, 31, [1, 3]), 8001)
+@example(make_lens_space(2, 30, [1, 7]), 7998)  # d = 6
+@example(make_lens_space(2, 1, [1, 1]), 2999)
 @example(make_lens_space(3, 1, [1, 1, 1]), 3000)
 @example(make_lens_space(3, 40, [1, 9, 31]), 1201)
 @example(make_lens_space(2, 7, [1, 3]), 0)
