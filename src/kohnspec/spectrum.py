@@ -5,8 +5,7 @@ the invariant dimensions over all (p, q) with that eigenvalue.  A table up
 to a cutoff is one sieve of multiplicities, one pass over the O(sqrt(lam))
 lines of the hyperbola split below.  The eigenvalues along a line are
 evenly spaced, so each line is one strided slice add; for n = 2 its
-dimensions are one slice of a template built from the base table, with
-no Python step per cell.
+dimensions are slices of the base table, with no Python step per cell.
 A single eigenvalue, and its per-(p, q) provenance, is answered by
 enumerating the divisors of lam/2.  `write_json` streams a whole table's
 provenance from the sieve's own lines instead: a block of eigenvalues at
@@ -139,9 +138,9 @@ def _sieve(space: LensSpace, lambda_max: int) -> dict[int, int]:
     by_half = [0] * (half + 1)
     step, dims = _line_dims(space, half)
     lines = list(_line_cells(half, space.n, step))
-    # Then every residue mod k has two rows and two columns or more, so a
-    # template serves several lines; below that, building it costs more
-    # than the lazy rows it replaces.
+    # With isqrt(half) >= 2k every residue mod k has two rows and two
+    # columns or more, so a template serves several lines; below that,
+    # building it costs more than the lazy rows it replaces.
     if space.n == 2 and isqrt(half) >= 2 * space.k:
         dims = _sliced_dims(space, lines, dims)
     for _, f, ms, halves in lines:
