@@ -124,23 +124,22 @@ def cmd_count(args) -> int:
     return 0
 
 
+_RATIO = ('  {\n    "lambda": %d,\n    "n_lens": %d,\n    "n_sphere": %d,\n'
+          '    "ratio": %s,\n    "ratio_exact": %s\n  }')
+
+
 def cmd_weyl(args) -> int:
     samples = asymptotics.weyl_ratio_series(
         args.lens, args.lambda_max, args.stride, budget=_resolve_budget(args)
     )
-    if args.out == "json":
-        _emit_json(
-            [
-                {
-                    "lambda": s.lam,
-                    "n_lens": s.n_lens,
-                    "n_sphere": s.n_sphere,
-                    "ratio": None if s.ratio is None else float(_fmt(s.ratio_float)),
-                    "ratio_exact": None if s.ratio is None else str(s.ratio),
-                }
-                for s in samples
-            ]
+    if args.out == "json":  # `json.dumps` of the rows with indent=2, as one `%`.
+        values = chain.from_iterable(
+            (s.lam, s.n_lens, s.n_sphere, "null", "null") if s.ratio is None
+            else (s.lam, s.n_lens, s.n_sphere, repr(float(_fmt(s.ratio_float))), f'"{s.ratio}"')
+            for s in samples
         )
+        rows = ",\n".join(repeat(_RATIO, len(samples))) % tuple(values)
+        sys.stdout.write("[\n%s\n]\n" % rows if samples else "[]\n")
     else:
         print("lambda,ratio")
         for s in samples:

@@ -18,14 +18,17 @@ which `_sum_lines`, the one Dirichlet split, cuts into O(sqrt(lam)) rows
 and columns, each summed in closed form: for n = 2 from prefix sums of the
 k x k base table, for n >= 3 as one dot product of a profile row with a
 cumulative profile row, through the difference N(p, q) - N(p-1, q-1),
-whose profile rows are built one at a time in O(nk) each.
-`counting_grid_size` and the lemma sums of `asymptotics` are line sums
-too.  Tables, counts and comparisons check their work with `core.charge`.
+whose profile rows are built one at a time in O(nk) each.  Each count is
+memoized per space for the last eight spaces (`_count_memo`), so a sweep
+and a count at its cutoffs compute each N_L once; a memo hit is charged
+like a miss.  `counting_grid_size` and the lemma sums of `asymptotics`
+are line sums too.  Tables, counts and comparisons check their work with
+`core.charge`.
 """
 from __future__ import annotations
 
 import json
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, chain, compress, cycle, groupby, islice, repeat
 from math import isqrt
 from operator import add
@@ -261,17 +264,30 @@ def lens_counting(
 def _counts(spaces, lams, budget: int | None) -> list[list[int]]:
     """N_L at each cutoff in `lams`, one list per space.
 
-    Each space's setup serves every cutoff.  All the work (`_work`) is
-    charged first; over budget raises ResourceLimit before any is done.
+    All the work (`_work`) is charged first, memoized cutoffs too, so the
+    verdict does not depend on cache state; over budget raises
+    ResourceLimit before any is done.  Then each space's distinct
+    half-cutoffs missing from its `_count_memo` are counted in one batch,
+    whose setup serves them all.
     """
     if any(lam < 0 for lam in lams):
         raise ValueError("eigenvalue cutoff must be nonnegative")
     halves = [lam // 2 for lam in lams]
     charge(sum(_work(space, halves) for space in spaces), budget)
-    return [
-        (_count_recurrence if space.n == 2 else _count_convolution)(space, halves)
-        for space in spaces
-    ]
+    counts = []
+    for space in spaces:
+        memo = _count_memo(space)
+        if missing := sorted(set(halves).difference(memo)):
+            count = _count_recurrence if space.n == 2 else _count_convolution
+            memo.update(zip(missing, count(space, missing)))
+        counts.append([memo[half] for half in halves])
+    return counts
+
+
+@lru_cache(maxsize=8)
+def _count_memo(space: LensSpace) -> dict[int, int]:
+    """Half-cutoff -> N_L of the space, read and filled by `_counts` alone; eight spaces kept."""
+    return {}
 
 
 def _work(space: LensSpace, halves: list[int]) -> int:

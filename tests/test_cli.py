@@ -112,6 +112,32 @@ def test_weyl_json_has_exact_ratio(capsys):
     assert all(row["ratio_exact"] == "1" for row in json.loads(out))
 
 
+@pytest.mark.parametrize("lens, lambda_max, stride", [
+    ("1:1,1,1", 8, 2),  # N_S = 0 at lambda = 2: null ratios
+    ("4:1,1,1,1", 12, 2),
+    ("3:1,2", 4, 6),  # no sample
+    ("7:1,3", 400, 40),
+    ("31:1,3", 2000, 2),
+])
+def test_weyl_json_is_the_indent_2_dump(capsys, lens, lambda_max, stride):
+    from kohnspec.asymptotics import weyl_ratio_series
+
+    rows = [
+        {
+            "lambda": s.lam,
+            "n_lens": s.n_lens,
+            "n_sphere": s.n_sphere,
+            "ratio": None if s.ratio is None else float(f"{s.ratio_float:.12g}"),
+            "ratio_exact": None if s.ratio is None else str(s.ratio),
+        }
+        for s in weyl_ratio_series(parse_lens_spec(lens), lambda_max, stride)
+    ]
+    code, out, _ = run(capsys, "weyl", "--lens", lens, "--lambda-max", str(lambda_max),
+                       "--stride", str(stride), "--out", "json")
+    assert code == 0
+    assert out == json.dumps(rows, indent=2) + "\n"
+
+
 def test_bounds_check_exits_clean(capsys):
     code, out, _ = run(
         capsys, "bounds-check", "--n-max", "6", "--m-max", "3", "--d-max", "3"
@@ -309,11 +335,10 @@ def test_budget_flag_beats_env(capsys, monkeypatch):
     assert out.strip().isdigit()
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_count_budget_refuses_before_any_table(capsys):
-    from kohnspec import clear_caches
     from kohnspec.invariant import _profile_rows
 
-    clear_caches()
     code, out, err = run(
         capsys, "count", "--lens", "9:8,5,1", "--lambda-max", "20000000000"
     )
@@ -322,6 +347,7 @@ def test_count_budget_refuses_before_any_table(capsys):
     assert _profile_rows.cache_info().currsize == 0
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_count_charges_the_base_table_fill_before_it(capsys, monkeypatch):
     from kohnspec import isospectral, spectrum
 

@@ -84,6 +84,7 @@ def test_exponent_profile_rejects_a_negative_degree():
     assert [exponent_profile(space, degree) for degree in range(4)] == rows
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_n3_routes_build_only_the_weight_profiles(monkeypatch):
     # N(p, q) is a dot product of two rows of one profile: no route builds
     # a profile of the negated weights.
@@ -318,6 +319,7 @@ def test_base_table_cache_is_bounded():
     assert len(spaces) > 8 and base_dim_table.cache_info().currsize <= 8
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_profile_cache_is_bounded():
     # 20 n = 3 spaces, each counted through two profiles (plain and cumulative).
     spaces = [make_lens_space(3, k, [1, 1, k - 1]) for k in range(2, 22)]

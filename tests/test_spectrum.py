@@ -256,13 +256,22 @@ def test_contributors_json_streams_one_entry_at_a_time():
     assert peak < 3 * 2**18
 
 
-def test_clear_caches_drops_the_entry_templates():
+def test_clear_caches_drops_the_entry_templates(monkeypatch):
     from kohnspec import clear_caches, spectrum
 
     write_json(build_spectrum(SPHERE3, 20), _ByteCount(), contributors=True)
     assert spectrum._entry.cache_info().currsize > 0
+    # The count memo too: a count after clearing is computed again.
+    count = lens_counting(SPHERE3, 20)
+    recount, calls = spectrum._count_recurrence, []
+    monkeypatch.setattr(spectrum, "_count_recurrence",
+                        lambda *args: calls.append(args) or recount(*args))
+    assert lens_counting(SPHERE3, 20) == count and calls == []
+    assert spectrum._count_memo.cache_info().currsize > 0
     clear_caches()
     assert spectrum._entry.cache_info().currsize == 0
+    assert spectrum._count_memo.cache_info().currsize == 0
+    assert lens_counting(SPHERE3, 20) == count and calls == [(SPHERE3, [10])]
 
 
 def test_provenance_fills_no_base_table():

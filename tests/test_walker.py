@@ -19,7 +19,7 @@ from math import comb, gcd, isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kohnspec import asymptotics, spectrum
+from kohnspec import asymptotics, clear_caches, spectrum
 from kohnspec.asymptotics import (
     lemma_ratio_decay,
     remainder_experiment,
@@ -29,6 +29,8 @@ from kohnspec.core import DEFAULT_BUDGET, ResourceLimit, make_lens_space
 from kohnspec.invariant import dim_cell, dim_invariant
 from kohnspec.isospectral import c_matrix, spectra_equal_up_to
 from kohnspec.spectrum import (
+    _count_convolution,
+    _count_recurrence,
     _counts,
     _sum_lines,
     build_spectrum,
@@ -219,6 +221,7 @@ def test_c_matrix_matches_rectangle_scan(k, lam):
     assert c_matrix(k, lam).rows() == entries
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_budget_charges_each_evaluation_before_the_walk(monkeypatch):
     space = make_lens_space(2, 3, [1, 2])
     # The cells plus k^2 for the n = 2 base table.
@@ -259,6 +262,7 @@ def test_budget_charges_each_evaluation_before_the_walk(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_count_charges_each_pass_over_the_profile_tables():
     space = make_lens_space(3, 2, [1, 1, 1])
     # half = 1e14: 3 isqrt(half) line evaluations per region.  The one
@@ -276,6 +280,7 @@ def test_count_charges_each_pass_over_the_profile_tables():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_sweeps_are_charged_under_the_default_budget():
     # The count at 2e12 alone is charged far over the default budget.
     space = make_lens_space(3, 2, [1, 1, 1])
@@ -285,6 +290,7 @@ def test_sweeps_are_charged_under_the_default_budget():
         remainder_experiment(space, 2 * 10**12, 1)
 
 
+@pytest.mark.usefixtures("cold_caches")
 def test_dense_sweep_charges_its_setup_once():
     series = weyl_ratio_series(
         make_lens_space(2, 31, [1, 3]), 2000, 2, budget=DEFAULT_BUDGET
@@ -296,6 +302,63 @@ def test_dense_sweep_charges_its_setup_once():
     space = make_lens_space(3, 9, [1, 2, 4])
     work = spectrum._work(space, halves) + spectrum._work(trivial_group(3), halves)
     assert work <= DEFAULT_BUDGET
+
+
+def cold_count(space, lams):
+    """N_L at each cutoff by the count routine itself, past the memo."""
+    count = _count_recurrence if space.n == 2 else _count_convolution
+    return count(space, [lam // 2 for lam in lams])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(lens_spaces(k_max=12), min_size=1, max_size=10), st.data())
+def test_memoized_counts_equal_cold_counts(spaces, data):
+    # Up to ten spaces against a memo of eight: queries also hit evicted spaces.
+    clear_caches()
+    for _ in range(data.draw(st.integers(1, 12))):
+        pair = [data.draw(st.sampled_from(spaces)) for _ in range(2)]
+        lams = data.draw(st.lists(st.integers(0, 3000), min_size=1, max_size=6))
+        repeats = data.draw(st.lists(st.sampled_from(lams), max_size=4))
+        lams = data.draw(st.permutations(lams + repeats))
+        for space, counts in zip(pair, _counts(pair, lams, None)):
+            assert counts == cold_count(space, lams)
+            small = [lam for lam in lams if lam <= 400]
+            assert [counts[lams.index(lam)] for lam in small] == [
+                walked_count(space, lam) for lam in small
+            ]
+
+
+@pytest.mark.usefixtures("cold_caches")
+@pytest.mark.parametrize("space", [make_lens_space(2, 7, [1, 3]),
+                                   make_lens_space(3, 5, [1, 2, 3])])
+def test_memoized_counts_are_charged_like_misses(space, monkeypatch):
+    # Every cutoff below is memoized first, and the count routines then fail:
+    # a budget one short of the work still refuses, and the full budget is
+    # served from the memo.
+    sphere = trivial_group(space.n)
+    lams = range(40, 401, 40)
+    halves = [lam // 2 for lam in lams]
+    series = weyl_ratio_series(space, 400, 40, budget=None)
+    rows = remainder_experiment(space, 400, 10, budget=None)
+    count = lens_counting(space, 400, budget=None)
+
+    def fails(*args):
+        raise AssertionError("a memoized count was computed again")
+
+    for name in ("_count_recurrence", "_count_convolution"):
+        monkeypatch.setattr(spectrum, name, fails)
+    weyl = spectrum._work(space, halves) + spectrum._work(sphere, halves)
+    remainder, top = spectrum._work(space, halves), spectrum._work(space, [200])
+    with pytest.raises(ResourceLimit):
+        weyl_ratio_series(space, 400, 40, budget=weyl - 1)
+    with pytest.raises(ResourceLimit):
+        remainder_experiment(space, 400, 10, budget=remainder - 1)
+    with pytest.raises(ResourceLimit):
+        lens_counting(space, 400, budget=top - 1)
+    assert weyl_ratio_series(space, 400, 40, budget=weyl) == series
+    assert remainder_experiment(space, 400, 10, budget=remainder) == rows
+    assert lens_counting(space, 400, budget=top) == count
+    assert [s.lam for s in series] == list(lams)
 
 
 @settings(max_examples=60, deadline=None)
