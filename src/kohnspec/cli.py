@@ -40,6 +40,7 @@ def _fmt(x: float) -> str:
 
 
 def _resolve_budget(args) -> int:
+    """--budget, else KOHN_LENS_BUDGET, else the default: resolved once per run, in `main`."""
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get(BUDGET_ENV)
@@ -98,19 +99,19 @@ def cmd_dim(args) -> int:
     if method is not None:
         space = args.lens
         if args.method == "dp" or space.n > 2:
-            charge(_cell_work(space, args.p, args.q), _resolve_budget(args))
+            charge(_cell_work(space, args.p, args.q), args.budget)
         print(method(space, args.p, args.q))
     else:
         charged = {
             "recurrence": dim_invariant_recurrence,
             "bruteforce": dim_invariant_bruteforce,
         }[args.method]
-        print(charged(args.lens, args.p, args.q, _resolve_budget(args)))
+        print(charged(args.lens, args.p, args.q, args.budget))
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    table = spectrum.build_spectrum(args.lens, args.lambda_max, _resolve_budget(args))
+    table = spectrum.build_spectrum(args.lens, args.lambda_max, args.budget)
     if args.contributors or args.out == "json":
         spectrum.write_json(table, sys.stdout, contributors=args.contributors)
         sys.stdout.write("\n")
@@ -120,7 +121,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_count(args) -> int:
-    print(spectrum.lens_counting(args.lens, args.lambda_max, _resolve_budget(args)))
+    print(spectrum.lens_counting(args.lens, args.lambda_max, args.budget))
     return 0
 
 
@@ -129,9 +130,8 @@ _RATIO = ('  {\n    "lambda": %d,\n    "n_lens": %d,\n    "n_sphere": %d,\n'
 
 
 def cmd_weyl(args) -> int:
-    samples = asymptotics.weyl_ratio_series(
-        args.lens, args.lambda_max, args.stride, budget=_resolve_budget(args)
-    )
+    samples = asymptotics.weyl_ratio_series(args.lens, args.lambda_max, args.stride,
+                                            budget=args.budget)
     if args.out == "json":  # `json.dumps` of the rows with indent=2, as one `%`.
         values = chain.from_iterable(
             (s.lam, s.n_lens, s.n_sphere, "null", "null") if s.ratio is None
@@ -151,7 +151,7 @@ def cmd_bounds_check(args) -> int:
     dims = [int(part) for part in args.dims.split(",")]
     tuples = len(dims) * (args.n_max + 1) * args.m_max * args.d_max
     # A tuple sums at most n_max + 1 terms a side, plus its binomials.
-    charge(tuples * (args.n_max + 2), _resolve_budget(args))
+    charge(tuples * (args.n_max + 2), args.budget)
     checked = 0
     for n in dims:
         for N in range(args.n_max + 1):
@@ -173,9 +173,7 @@ def cmd_bounds_check(args) -> int:
 
 def cmd_isospec(args) -> int:
     first, second = args.lens
-    found, equal = isospectral._compare_spectra(
-        first, second, args.lambda_max, _resolve_budget(args)
-    )
+    found, equal = isospectral._compare_spectra(first, second, args.lambda_max, args.budget)
     d_equal = None
     if first.n == 2 and second.n == 2 and first.k == second.k:
         d_equal = isospectral.d_invariant_check(first, second)
@@ -195,7 +193,7 @@ _MEMBER = "        [\n          %d,\n          %d\n        ]"
 
 def cmd_classify(args) -> int:
     """Print `json.dumps` of the classes with indent=2, one class at a time."""
-    classes = isospectral.classify_all(args.k, _resolve_budget(args))
+    classes = isospectral.classify_all(args.k, args.budget)
     guaranteed = args.k != 2 and _is_prime(args.k)
     out = sys.stdout
     out.write('{\n  "k": %d,\n  "spectral_equivalence_guaranteed": %s,\n  "classes": [\n'
@@ -210,15 +208,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cmatrix(args) -> int:
-    matrix = isospectral.c_matrix(args.k, args.lam, _resolve_budget(args))
+    matrix = isospectral.c_matrix(args.k, args.lam, args.budget)
     print(json.dumps(matrix.rows()))
     return 0
 
 
 def cmd_span(args) -> int:
-    rank = isospectral.span_dimension(
-        args.k, range(2, args.lambda_max + 1, 2), _resolve_budget(args)
-    )
+    rank = isospectral.span_dimension(args.k, range(2, args.lambda_max + 1, 2), args.budget)
     print(rank)
     k = args.k
     if _is_prime(k) and rank < k * (k + 1) // 2:
@@ -233,7 +229,7 @@ def cmd_span(args) -> int:
 def cmd_genfunc_check(args) -> int:
     space, point = args.lens, (args.cutoff + 1) ** 2 + args.lens.k * args.lens.n
     # The grid, then per point the series over all cells and kn closed-form factors.
-    charge(_grid_work(space, args.cutoff) + args.points * point, _resolve_budget(args))
+    charge(_grid_work(space, args.cutoff) + args.points * point, args.budget)
     points = genfunc.unit_disk_points(args.points, seed=args.seed)
     deviation = genfunc.max_deviation(space, points, args.cutoff)
     _emit_json({"lens": str(args.lens), "points": args.points, "cutoff": args.cutoff,
@@ -242,31 +238,44 @@ def cmd_genfunc_check(args) -> int:
 
 
 def cmd_remainder(args) -> int:
-    rows = asymptotics.remainder_experiment(
-        args.lens, args.lambda_max, args.samples, budget=_resolve_budget(args)
-    )
+    rows = asymptotics.remainder_experiment(args.lens, args.lambda_max, args.samples,
+                                            budget=args.budget)
     print("lambda,residual,residual_per_lambda_nm1,residual_per_lambda_nm1_log")
     for row in rows:
         print(f"{row.lam},{_fmt(row.residual)},{_fmt(row.scaled)},{_fmt(row.scaled_log)}")
     return 0
 
 
+def _parent(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parser that holds one option, for subcommands to list among their parents."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing keeps no state."""
+    """The argument parser, built once per process: parsing keeps no state.
+
+    An option that several subcommands share is declared once, as a parent.
+    """
     parser = argparse.ArgumentParser(
         prog="kohnspec",
         description="Exact Kohn Laplacian spectra on odd spheres and lens spaces.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    lens = _parent("--lens", type=_lens, required=True, metavar="k:l1,l2,...")
+    cutoff = _parent("--lambda-max", type=_cutoff, required=True)
+    out = _parent("--out", choices=["csv", "json"], default="csv")
+    order = _parent("--k", type=int, required=True)
+    budget = _parent("--budget", type=int)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, func, parents, **kwargs):
+        p = sub.add_parser(name, parents=parents, **kwargs)
         p.set_defaults(func=func)
         return p
 
-    p = add("dim", cmd_dim, help="invariant eigenspace dimension at one bidegree")
-    p.add_argument("--lens", type=_lens, required=True, metavar="k:l1,l2,...")
+    p = add("dim", cmd_dim, [lens, budget], help="invariant eigenspace dimension at one bidegree")
     p.add_argument("--p", type=_nonnegative, required=True)
     p.add_argument("--q", type=_nonnegative, required=True)
     p.add_argument(
@@ -274,36 +283,26 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "dp", "recurrence", "bruteforce"],
         default="auto",
     )
-    p.add_argument("--budget", type=int)
 
-    p = add("spectrum", cmd_spectrum, help="eigenvalue -> multiplicity table")
-    p.add_argument("--lens", type=_lens, required=True)
-    p.add_argument("--lambda-max", type=_cutoff, required=True)
-    p.add_argument("--out", choices=["csv", "json"], default="csv")
+    p = add("spectrum", cmd_spectrum, [lens, cutoff, out, budget],
+            help="eigenvalue -> multiplicity table")
     p.add_argument("--contributors", action="store_true")
-    p.add_argument("--budget", type=int)
 
-    p = add("count", cmd_count, help="eigenvalue counting function N_L")
-    p.add_argument("--lens", type=_lens, required=True)
+    p = add("count", cmd_count, [lens, budget], help="eigenvalue counting function N_L")
     # A negative cutoff is left to lens_counting, which rejects it (exit 2).
     p.add_argument("--lambda-max", type=_even, required=True)
-    p.add_argument("--budget", type=int)
 
-    p = add("weyl", cmd_weyl, help="exact lens/sphere count-ratio sweep")
-    p.add_argument("--lens", type=_lens, required=True)
-    p.add_argument("--lambda-max", type=_cutoff, required=True)
+    p = add("weyl", cmd_weyl, [lens, cutoff, out, budget],
+            help="exact lens/sphere count-ratio sweep")
     p.add_argument("--stride", type=_even, required=True)
-    p.add_argument("--out", choices=["csv", "json"], default="csv")
-    p.add_argument("--budget", type=int)
 
-    p = add("bounds-check", cmd_bounds_check, help="validate the counting bounds grid")
+    p = add("bounds-check", cmd_bounds_check, [budget], help="validate the counting bounds grid")
     p.add_argument("--n-max", type=_nonnegative, default=30, help="largest N in the sweep")
     p.add_argument("--m-max", type=_positive, default=6)
     p.add_argument("--d-max", type=_positive, default=6)
     p.add_argument("--dims", default="3,4,5", help="comma list of dimension parameters")
-    p.add_argument("--budget", type=int)
 
-    p = add("isospec", cmd_isospec, help="compare two lens spaces")
+    p = add("isospec", cmd_isospec, [budget], help="compare two lens spaces")
     p.add_argument(
         "--lens",
         type=_lens,
@@ -312,33 +311,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="given twice: the two spaces to compare",
     )
     p.add_argument("--lambda-max", type=_cutoff, default=500)
-    p.add_argument("--budget", type=int)
 
-    p = add("classify", cmd_classify, help="isometry classes of weight pairs")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int)
+    add("classify", cmd_classify, [order, budget], help="isometry classes of weight pairs")
 
-    p = add("cmatrix", cmd_cmatrix, help="residue-count matrix of one eigenvalue")
-    p.add_argument("--k", type=int, required=True)
+    p = add("cmatrix", cmd_cmatrix, [order, budget], help="residue-count matrix of one eigenvalue")
     p.add_argument("--lambda", dest="lam", type=_cutoff, required=True)
-    p.add_argument("--budget", type=int)
 
-    p = add("span", cmd_span, help="rank of the residue-count matrices")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--lambda-max", type=_cutoff, required=True)
-    p.add_argument("--budget", type=int)
+    add("span", cmd_span, [order, cutoff, budget], help="rank of the residue-count matrices")
 
-    p = add("genfunc-check", cmd_genfunc_check, help="closed form vs series deviation")
-    p.add_argument("--lens", type=_lens, required=True)
+    # No --budget: the work is bounded by KOHN_LENS_BUDGET alone.
+    p = add("genfunc-check", cmd_genfunc_check, [lens], help="closed form vs series deviation")
     p.add_argument("--points", type=_positive, default=20)
     p.add_argument("--cutoff", type=_nonnegative, default=60)
     p.add_argument("--seed", type=int, default=12345)
 
-    p = add("remainder", cmd_remainder, help="Weyl remainder-term table")
-    p.add_argument("--lens", type=_lens, required=True)
-    p.add_argument("--lambda-max", type=_cutoff, required=True)
+    p = add("remainder", cmd_remainder, [lens, cutoff, budget], help="Weyl remainder-term table")
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--budget", type=int)
 
     # What is alive now (modules, the parser) lives as long as the process;
     # frozen, it is left out of every later collection's scan.
@@ -352,6 +340,7 @@ def main(argv=None) -> int:
     if args.subcommand == "isospec" and len(args.lens) != 2:
         parser.error("isospec needs exactly two --lens arguments")
     try:
+        args.budget = _resolve_budget(args)
         return args.func(args)
     except (KohnSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,6 +48,12 @@ def verify_witness(space: LensSpace, other: LensSpace, witness: IsometryWitness)
     )
 
 
+def _check_comparable(space: LensSpace, other: LensSpace) -> None:
+    """Reject two spaces whose k or n differ."""
+    if space.k != other.k or space.n != other.n:
+        raise MismatchedSpaces(f"cannot compare {space} with {other}: k and n must agree")
+
+
 def condition4_witness(space: LensSpace, other: LensSpace) -> IsometryWitness | None:
     """The lexicographically smallest isometry certificate (a, sigma), or None.
 
@@ -58,10 +64,7 @@ def condition4_witness(space: LensSpace, other: LensSpace) -> IsometryWitness | 
     which makes sigma the lexicographically smallest.  O(n^2 log n), with
     no dependence on k; k = 1 gives a = 1.
     """
-    if space.k != other.k or space.n != other.n:
-        raise MismatchedSpaces(
-            f"cannot compare {space} with {other}: k and n must agree"
-        )
+    _check_comparable(space, other)
     k, target = space.k, sorted(other.weights)
     inverse = pow(space.weights[0], -1, k)
     for a in sorted({w * inverse % k for w in other.weights}) if k > 1 else [1]:
@@ -129,10 +132,7 @@ def dims_equal(space: LensSpace, other: LensSpace) -> bool:
     table is built: each space's `_grid_work`, k^2 per base table, or per
     box k per dot product taken, about 1/g of its cells, plus nk profile rows.
     """
-    if space.k != other.k or space.n != other.n:
-        raise MismatchedSpaces(
-            f"cannot compare {space} with {other}: k and n must agree"
-        )
+    _check_comparable(space, other)
     n, k = space.n, space.k
     size = k - 1 if n == 2 else n * k - 1
     charge(_grid_work(space, size) + _grid_work(other, size), DEFAULT_BUDGET)
@@ -207,20 +207,22 @@ def c_matrix(k: int, lam: int, budget: int | None = DEFAULT_BUDGET) -> CMatrix:
     return CMatrix(k=k, lam=lam, entries=tuple(tuple(row) for row in entries))
 
 
-def t_apply(matrix) -> list[list[int]]:
-    """Cyclic row shift: the top row moves to the bottom."""
+def _rotate(matrix, step: int) -> list[list[int]]:
+    """The square matrix with row i taken from row i + step, cyclically."""
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix must be square")
-    return [list(matrix[(i + 1) % size]) for i in range(size)]
+    return [list(matrix[(i + step) % size]) for i in range(size)]
+
+
+def t_apply(matrix) -> list[list[int]]:
+    """Cyclic row shift: the top row moves to the bottom."""
+    return _rotate(matrix, 1)
 
 
 def t_inverse(matrix) -> list[list[int]]:
     """Inverse row shift: the bottom row moves to the top."""
-    size = len(matrix)
-    if any(len(row) != size for row in matrix):
-        raise ValueError("matrix must be square")
-    return [list(matrix[(i - 1) % size]) for i in range(size)]
+    return _rotate(matrix, -1)
 
 
 def _integer_rank(rows, ceiling: int | None = None) -> int:

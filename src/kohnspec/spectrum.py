@@ -108,18 +108,25 @@ def multiplicity(space: LensSpace, lam: int) -> int:
 
 
 def _sieve_work(space: LensSpace, lambda_max: int) -> int:
-    """The charge of `_sieve`: its cells, plus an n = 2 base table's `_grid_work`.
+    """The charge of `_sieve`, made even when cached: a verdict must not depend on caches.
 
-    A cell is one unit, even for n >= 3, where it costs a dot product.
-    Every sieve's caller prices it first, so a negative cutoff is
-    rejected here, before any charge.
+    n = 2: one unit per cell, plus the base table's `_grid_work`.  n >= 3:
+    2k per cell of `_line_cells` that the sieve evaluates, two dot products
+    of k entries at most, plus the profile rows its lines reach, p, q <=
+    lam/2.  `write_json` with contributors evaluates each cell again, so at
+    n >= 3 it does up to twice this charge.  Every sieve's caller prices it
+    first, so a negative cutoff is rejected here, before any charge.
     """
     if lambda_max < 0:
         raise ValueError("lambda_max must be nonnegative")
-    # The table is charged even when cached: a verdict must not depend on
-    # cache state.
-    table = _grid_work(space, space.k - 1) if space.n == 2 else 0
-    return counting_grid_size(space.n, lambda_max) + table
+    if space.n == 2:
+        return counting_grid_size(2, lambda_max) + _grid_work(space, space.k - 1)
+    n, g, half = space.n, _congruence_gcd(space), lambda_max // 2
+    # The cells `_line_cells` lists, m = f mod g from 0 to a top: a row fixes
+    # q = u and runs p to top - n + 1, a column fixes p = v - n + 1.
+    cells = _sum_lines(half, n - 1, lambda u, top: (top - n + 1 - u % g) // g + 1,
+                       lambda v, top: (top - (v - n + 1) % g) // g + 1)
+    return 2 * space.k * cells + _profile_work(space, half + 1)
 
 
 def _sieve(space: LensSpace, lambda_max: int) -> dict[int, int]:
@@ -234,8 +241,8 @@ def build_spectrum(
 ) -> SpectrumTable:
     """Assemble the eigenvalue table for all even eigenvalues <= lambda_max.
 
-    More than `budget` (p, q) cells under lambda_max, plus k^2 for an
-    n = 2 base table, raise ResourceLimit before any table is built.
+    Work over `budget`, as `_sieve_work` prices it, raises ResourceLimit
+    before any table is built.
     """
     return SpectrumTable(space, lambda_max, multiplicity_table(space, lambda_max, budget))
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import io
@@ -597,6 +598,18 @@ def test_dim_and_genfunc_check_over_the_default_budget_exit_2_at_once():
     assert elapsed < 1.0
 
 
+
+def test_n3_spectrum_is_charged_for_its_dot_products(capsys):
+    # 181,177 cells at 2 x 31 each, plus 20,001 profile rows at 3 (31 + 6).
+    argv = ["spectrum", "--lens", "31:1,5,25", "--lambda-max", "40000"]
+    proc, elapsed = run_process(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "work 13453085 exceeds budget 10000000" in proc.stderr
+    assert elapsed < 1.0
+    code, out, _ = run(capsys, *argv, "--budget", "13453085")
+    top = spectrum.multiplicity(parse_lens_spec("31:1,5,25"), 40000)
+    assert code == 0 and out.endswith(f"\n40000,{top}\n")
+
 def test_dim_and_genfunc_check_charge_their_work(capsys, monkeypatch):
     # dp, and auto for n >= 3, price 3 (7 + 6) per profile row: 4 + 2 rows here.
     for method in ("dp", "auto"):
@@ -659,3 +672,99 @@ def test_cli_import_generates_no_dataclasses():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=SRC), timeout=20)
     assert proc.stdout == "[]\n", proc.stderr
+
+
+# Per subcommand, each option string: (type, or choices, or action; required; default).
+_LENS, _BUDGET = ("_lens", True, None), ("int", False, None)
+_SURFACE = {
+    "dim": {"--lens": _LENS, "--p": ("_nonnegative", True, None),
+            "--q": ("_nonnegative", True, None),
+            "--method": (("auto", "dp", "recurrence", "bruteforce"), False, "auto"),
+            "--budget": _BUDGET},
+    "spectrum": {"--lens": _LENS, "--lambda-max": ("_cutoff", True, None),
+                 "--out": (("csv", "json"), False, "csv"),
+                 "--contributors": ("store_true", False, False), "--budget": _BUDGET},
+    "count": {"--lens": _LENS, "--lambda-max": ("_even", True, None), "--budget": _BUDGET},
+    "weyl": {"--lens": _LENS, "--lambda-max": ("_cutoff", True, None),
+             "--stride": ("_even", True, None), "--out": (("csv", "json"), False, "csv"),
+             "--budget": _BUDGET},
+    "bounds-check": {"--n-max": ("_nonnegative", False, 30), "--m-max": ("_positive", False, 6),
+                     "--d-max": ("_positive", False, 6), "--dims": (None, False, "3,4,5"),
+                     "--budget": _BUDGET},
+    "isospec": {"--lens": ("append _lens", True, None), "--lambda-max": ("_cutoff", False, 500),
+                "--budget": _BUDGET},
+    "classify": {"--k": ("int", True, None), "--budget": _BUDGET},
+    "cmatrix": {"--k": ("int", True, None), "--lambda": ("_cutoff", True, None),
+                "--budget": _BUDGET},
+    "span": {"--k": ("int", True, None), "--lambda-max": ("_cutoff", True, None),
+             "--budget": _BUDGET},
+    "genfunc-check": {"--lens": _LENS, "--points": ("_positive", False, 20),
+                      "--cutoff": ("_nonnegative", False, 60), "--seed": ("int", False, 12345)},
+    "remainder": {"--lens": _LENS, "--lambda-max": ("_cutoff", True, None),
+                  "--samples": ("int", True, None), "--budget": _BUDGET},
+}
+
+
+def _describe(action):
+    if action.nargs == 0:
+        kind = "store_true"
+    elif action.choices is not None:
+        kind = tuple(action.choices)
+    else:
+        kind = getattr(action.type, "__name__", None)
+        if isinstance(action, argparse._AppendAction):
+            kind = f"append {kind}"
+    return kind, action.required, action.default
+
+
+def test_cli_surface_is_pinned(capsys):
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(_SURFACE)
+    for name, sub in subparsers.choices.items():
+        surface = {action.option_strings[-1]: _describe(action) for action in sub._actions
+                   if action.dest != "help"}
+        assert surface == _SURFACE[name], name
+        with pytest.raises(SystemExit) as exit_info:
+            main([name, "--help"])
+        assert exit_info.value.code == 0 and capsys.readouterr().out.startswith("usage:")
+
+
+# Per subcommand that takes --budget, a small job priced above 1.
+_PRICED = {
+    "dim": ["--lens", "7:1,2,3", "--p", "3", "--q", "1"],
+    "spectrum": ["--lens", "5:1,2", "--lambda-max", "20"],
+    "count": ["--lens", "5:1,2", "--lambda-max", "20"],
+    "weyl": ["--lens", "5:1,2", "--lambda-max", "20", "--stride", "4"],
+    "bounds-check": ["--dims", "3", "--n-max", "1", "--m-max", "1", "--d-max", "1"],
+    "isospec": ["--lens", "7:1,2", "--lens", "7:1,3", "--lambda-max", "20"],
+    "classify": ["--k", "12"],
+    "cmatrix": ["--k", "3", "--lambda", "6"],
+    "span": ["--k", "4", "--lambda-max", "20"],
+    "remainder": ["--lens", "5:1,2", "--lambda-max", "20", "--samples", "2"],
+}
+
+
+@pytest.mark.parametrize("name", list(_PRICED))
+def test_every_budget_flag_follows_one_rule(capsys, monkeypatch, name):
+    argv = [name, *_PRICED[name]]
+    monkeypatch.delenv("KOHN_LENS_BUDGET", raising=False)
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0 and expected
+    code, out, err = run(capsys, *argv, "--budget", "1")
+    assert (code, out) == (2, "") and "exceeds budget 1" in err
+    monkeypatch.setenv("KOHN_LENS_BUDGET", "1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "exceeds budget 1" in err
+    assert run(capsys, *argv, "--budget", str(DEFAULT_BUDGET))[:2] == (0, expected)
+
+
+# dim --method auto at n = 2 charges nothing, yet resolves the budget as well.
+@pytest.mark.parametrize("argv", [[name, *job] for name, job in _PRICED.items()]
+                         + [["genfunc-check", "--lens", "7:1,2", "--cutoff", "2"],
+                            ["dim", "--lens", "5:1,2", "--p", "3", "--q", "2"]],
+                         ids=[*_PRICED, "genfunc-check", "dim-auto-n2"])
+def test_a_malformed_budget_variable_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setenv("KOHN_LENS_BUDGET", "abc")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "KOHN_LENS_BUDGET must be an integer, got 'abc'" in err

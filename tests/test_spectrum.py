@@ -5,10 +5,10 @@ import tracemalloc
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from kohnspec.core import InvalidEigenvalue, ResourceLimit, make_lens_space
-from kohnspec.invariant import base_dim_table, dim_invariant_bruteforce
+from kohnspec.invariant import _profile_work, base_dim_table, dim_invariant_bruteforce
 from kohnspec.isospectral import spectra_equal_up_to
 from kohnspec.spectrum import (
     SpectrumTable,
@@ -141,6 +141,31 @@ def test_grid_budget():
     with pytest.raises(ResourceLimit):
         build_spectrum(make_lens_space(2, 3, [1, 2]), 2000, budget=50)
 
+
+
+@st.composite
+def higher_spaces(draw):
+    n = draw(st.sampled_from((3, 4)))
+    k = draw(st.integers(1, 20))
+    units = [u for u in range(1, k + 1) if gcd(u, k) == 1]
+    return make_lens_space(n, k, draw(st.lists(st.sampled_from(units), min_size=n, max_size=n)))
+
+
+@pytest.mark.usefixtures("cold_caches")
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(higher_spaces(), st.integers(0, 1000).map(lambda h: 2 * h))
+@example(make_lens_space(3, 12, [1, 5, 7]), 2000)  # g = 2
+@example(make_lens_space(3, 7, [1, 1, 1]), 2000)  # g = 7
+@example(make_lens_space(4, 20, [1, 3, 7, 9]), 2000)
+def test_n3_sieve_price_covers_its_dot_products(monkeypatch, space, lambda_max):
+    from kohnspec import invariant, spectrum
+
+    dots, dot = [], invariant._dot
+    monkeypatch.setattr(invariant, "_dot", lambda a, b: dots.append(1) or dot(a, b))
+    spectrum._sieve(space, lambda_max)
+    dot_work = spectrum._sieve_work(space, lambda_max) - _profile_work(space, lambda_max // 2 + 1)
+    assert space.k * len(dots) <= dot_work <= 2 * space.k * len(dots)
 
 def test_csv_round_trip():
     space = make_lens_space(2, 3, [1, 2])
