@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from .core import (
     DEFAULT_BUDGET, DimensionTooSmall, LensSpace, NonConvergence, UnsupportedDimension,
-    make_lens_space,
+    charge, make_lens_space,
 )
 from .spectrum import _counts, _sum_lines, lens_counting
 
@@ -85,6 +85,8 @@ def weyl_ratio_series(
     if stride < 2 or stride % 2 != 0:
         raise ValueError("stride must be a positive even integer")
     lams = range(stride, lambda_max + 1, stride)
+    # Each cutoff >= 2 costs a space 3 line evaluations at least: charged before any is listed.
+    charge(6 * len(lams), budget)
     sphere = make_lens_space(space.n, 1, [1] * space.n)
     counts = _counts([space, sphere], lams, budget)
     return [
@@ -265,17 +267,12 @@ def lemma_ratio_decay(n: int, lambda_list: list[int]) -> list[Fraction]:
     if n < 2:
         raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
 
-    def row(u: int, top: int) -> int:
-        return comb(u + n - 2, n - 2) * comb(top, n - 1)
-
-    def column(v: int, top: int) -> int:
-        return comb(v - 1, n - 2) * comb(top + n - 1, n - 1)
-
     sphere = make_lens_space(n, 1, [1] * n)
     (b_sums,) = _counts([sphere], [2 * h for h in lambda_list], DEFAULT_BUDGET)
     # Below the first eigenvalue A = B = 0; the ratio is taken as 0.
     return [
-        Fraction(_sum_lines(h, n - 1, row, column), b or 1)
+        Fraction(_sum_lines(h, n, lambda f, x: comb(f + n - 2, n - 2) * comb(x + n - 2, n - 1)),
+                 b or 1)
         for h, b in zip(lambda_list, b_sums)
     ]
 
@@ -304,6 +301,7 @@ def remainder_experiment(
     predicted = _predicted_constant(space)
     stride = 2 * (lambda_max // (2 * samples))
     lams = range(stride, samples * stride + 1, stride)
+    charge(3 * len(lams), budget)  # The lower bound of `weyl_ratio_series`.
     (counts,) = _counts([space], lams, budget)
     rows = []
     for lam, count in zip(lams, counts):

@@ -7,8 +7,8 @@ prime k this is equivalent to equality of spectra, of all invariant
 dimensions (decided exactly here for every n), and of the congruence
 invariant d; the machinery here also exposes the residue-count matrices
 C^lambda and the row-shift operator whose span argument drives that
-equivalence.  A spectral comparison charges both full sieves, then
-tries a witness before tables at rising cutoffs.
+equivalence.  A spectral comparison tries a witness, then charges both
+full sieves before tables at rising cutoffs.
 """
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ from .core import (
     gcd_invariant,
 )
 from .invariant import _grid_work, base_dim_table, dim_grid
-from .spectrum import _bidegrees_for, _check_eigenvalue, _sieve_work, multiplicity_table
+from .spectrum import (_bidegrees_for, _charge_sieves, _check_cutoff, _check_eigenvalue,
+                       multiplicity_table)
 
 
 class IsometryWitness(NamedTuple):
@@ -93,23 +94,23 @@ def _compare_spectra(
 ) -> tuple[IsometryWitness | None, bool]:
     """The isometry witness, and whether the spectra agree up to lambda_max.
 
-    The witness is None when k differs or there is none.  A witness
-    proves equality, with no sieve run or charged: it maps one group onto
-    the other by a coordinate permutation, so every dimension agrees.
-    Otherwise both sieves to lambda_max are charged together, each as in
-    `build_spectrum`, before any sieve (budget None means unbounded), and
-    the tables are compared at cutoff min(lambda_max, 64), then 4, 16, ...
-    times that, capped at lambda_max: a table at c is the entries <= c of
-    the one at lambda_max, so the first difference is final, and the
-    sieves cost at most 4/3 of the two at lambda_max.
+    A negative cutoff raises ValueError first.  The witness is None when k
+    differs or there is none; one proves equality, with no sieve run or
+    priced, as it maps one group onto the other by a coordinate permutation.
+    Otherwise both sieves to lambda_max are charged (`_charge_sieves`)
+    before any sieve (budget None means unbounded), and the tables are
+    compared at cutoff min(lambda_max, 64), then 4, 16, ... times that,
+    capped at lambda_max: a table at c is the entries <= c of the one at
+    lambda_max, so the first difference is final, and the sieves cost at
+    most 4/3 of the two at lambda_max.
     """
     if space.n != other.n:
         raise MismatchedSpaces("spectral comparison needs equal n")
-    work = _sieve_work(space, lambda_max) + _sieve_work(other, lambda_max)  # Validates lambda_max.
+    _check_cutoff(lambda_max)
     witness = condition4_witness(space, other) if space.k == other.k else None
     if witness is not None:
         return witness, True
-    charge(work, budget)
+    _charge_sieves((space, other), lambda_max, budget)
     cutoff = min(lambda_max, 64)
     while (multiplicity_table(space, cutoff, budget=None)
            == multiplicity_table(other, cutoff, budget=None)):

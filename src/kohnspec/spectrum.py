@@ -14,14 +14,14 @@ same slices, filed by eigenvalue.  k = 1 encodes the sphere.
 
 Every count N_L(lam) comes from `_counts`, at any list of cutoffs, and
 visits no cell.  The cells q(p + n - 1) <= lam/2 lie under a hyperbola,
-which `_sum_lines`, the one Dirichlet split, cuts into O(sqrt(lam)) rows
-and columns, each summed in closed form: for n = 2 from prefix sums of the
-k x k base table, for n >= 3 as one dot product of a profile row with a
-cumulative profile row, through the difference N(p, q) - N(p-1, q-1),
-whose profile rows are built one at a time in O(nk) each.  Each count is
-memoized per space for the last eight spaces (`_count_memo`), so a sweep
-and a count at its cutoffs compute each N_L once; a memo hit is charged
-like a miss.  `counting_grid_size` and the lemma sums of `asymptotics`
+which `_lines`, the one Dirichlet split, cuts into O(sqrt(lam)) rows and
+columns of bidegrees; `_sum_lines` sums each by one prefix function in
+closed form: for n = 2 from prefix sums of the k x k base table, for n >= 3
+as dot products of profile rows with cumulative ones, through dim(p, q) =
+N(p, q) - N(p-1, q-1), profile rows built one at a time in O(nk) each.
+Each count is memoized per space for the last eight spaces (`_count_memo`),
+so a sweep and a count at its cutoffs compute each N_L once; a memo hit is
+charged like a miss.  `counting_grid_size` and the lemma sums of `asymptotics`
 are line sums too.  Tables, counts and comparisons check their work with
 `core.charge`.
 """
@@ -107,6 +107,21 @@ def multiplicity(space: LensSpace, lam: int) -> int:
     return sum(d for _, _, d in _contributors(space, lam))
 
 
+def _check_cutoff(lambda_max: int) -> None:
+    """Reject a negative table cutoff."""
+    if lambda_max < 0:
+        raise ValueError("lambda_max must be nonnegative")
+
+
+def _charge_sieves(spaces, lambda_max: int, budget: int | None) -> None:
+    """Charge the `_sieve`s of `spaces` to lambda_max together, before any runs."""
+    _check_cutoff(lambda_max)
+    # Each costs lam/2 at least (n = 2: the row q = 1 holds lam/2 cells; n >= 3:
+    # the lam/2 + 1 profile rows), so a huge cutoff is refused before lines are summed.
+    charge(len(spaces) * (lambda_max // 2), budget)
+    charge(sum(_sieve_work(space, lambda_max) for space in spaces), budget)
+
+
 def _sieve_work(space: LensSpace, lambda_max: int) -> int:
     """The charge of `_sieve`, made even when cached: a verdict must not depend on caches.
 
@@ -114,33 +129,27 @@ def _sieve_work(space: LensSpace, lambda_max: int) -> int:
     2k per cell of `_line_cells` that the sieve evaluates, two dot products
     of k entries at most, plus the profile rows its lines reach, p, q <=
     lam/2.  `write_json` with contributors evaluates each cell again, so at
-    n >= 3 it does up to twice this charge.  Every sieve's caller prices it
-    first, so a negative cutoff is rejected here, before any charge.
+    n >= 3 it does up to twice this charge.
     """
-    if lambda_max < 0:
-        raise ValueError("lambda_max must be nonnegative")
     if space.n == 2:
         return counting_grid_size(2, lambda_max) + _grid_work(space, space.k - 1)
-    n, g, half = space.n, _congruence_gcd(space), lambda_max // 2
-    # The cells `_line_cells` lists, m = f mod g from 0 to a top: a row fixes
-    # q = u and runs p to top - n + 1, a column fixes p = v - n + 1.
-    cells = _sum_lines(half, n - 1, lambda u, top: (top - n + 1 - u % g) // g + 1,
-                       lambda v, top: (top - (v - n + 1) % g) // g + 1)
+    g, half = _congruence_gcd(space), lambda_max // 2
+    # The cells `_line_cells` lists: the m = f mod g of each line.
+    cells = _sum_lines(half, space.n, lambda f, x: (x - 1 - f % g) // g + 1)
     return 2 * space.k * cells + _profile_work(space, half + 1)
 
 
 def _sieve(space: LensSpace, lambda_max: int) -> dict[int, int]:
     """Eigenvalue -> multiplicity (positive entries only), line by line.
 
-    The cells q(p + n - 1) <= lam/2 lie on the lines of `_lines(lam/2,
-    n - 1)` in u = q, v = p + n - 1; a cell's index u v is the fixed
-    coordinate times the running one.  dim(p, q) = dim(q, p), as
-    conjugation maps the invariants of bidegree (p, q) onto those of (q, p),
-    so a line runs one bidegree coordinate m with the other, f, fixed.  Its
-    cells of positive dim, and their eigenvalues, are evenly spaced, so a
-    line is one strided slice add.  n = 2 takes a line's dims as one slice
-    of a template per residue f mod k (`_sliced_dims`), once the table is
-    long enough for each template to serve several lines.
+    The cells q(p + n - 1) <= lam/2 lie on the lines of `_lines(lam/2, n)`,
+    each running one bidegree coordinate m with the other, f, fixed; dim(p,
+    q) = dim(q, p), as conjugation maps the invariants of bidegree (p, q)
+    onto those of (q, p).  A line's cells of positive dim, and their
+    eigenvalues, are evenly spaced, so a line is one strided slice add.
+    n = 2 takes a line's dims as one slice of a template per residue f mod
+    k (`_sliced_dims`), once the table is long enough for each template to
+    serve several lines.
     """
     if lambda_max < 2:  # The least eigenvalue is 2.
         return {}
@@ -185,19 +194,15 @@ def _sliced_dims(space: LensSpace, lines: list, dims):
 
 
 def _line_cells(half: int, n: int, step: int):
-    """(shift, f, ms, halves) for each line of `_lines(half, n - 1)`, in its order.
+    """(shift, f, ms, halves) for each line of `_lines(half, n)`, in its order.
 
-    A row (shift n - 1) fixes q = f = u and runs p = m over v = m + n - 1;
-    a column (shift 0) fixes p = f = v - n + 1 and runs q = m.  ms holds
-    the line's m congruent to f mod step, the only cells that can have
-    positive dim (see `_line_dims`), and halves[i], the half-eigenvalue
-    q(p + n - 1) of the cell (f, ms[i]), is the fixed coordinate (u of a
-    row, v of a column) times ms[i] + shift.
+    ms holds the line's m in [lo, hi) congruent to f mod step, the only
+    cells that can have positive dim (see `_line_dims`), and halves[i], the
+    half-eigenvalue q(p + n - 1) of the cell (f, ms[i]), is fixed (ms[i] +
+    shift).  A row has shift n - 1 and a column shift 0.
     """
-    for fixed, start, top in _lines(half, n - 1):
-        shift = n - 1 if start == n - 1 else 0  # A row runs over v = m + n - 1.
-        f, low = fixed + shift - n + 1, start - shift
-        ms = range(low + (f - low) % step, top - shift + 1, step)
+    for fixed, shift, f, lo, hi in _lines(half, n):
+        ms = range(lo + (f - lo) % step, hi, step)
         yield shift, f, ms, range(fixed * (ms.start + shift), fixed * (ms.stop + shift),
                                   fixed * step)
 
@@ -254,7 +259,7 @@ def multiplicity_table(
 
     Charged as `build_spectrum`; over budget raises ResourceLimit first.
     """
-    charge(_sieve_work(space, lambda_max), budget)
+    _charge_sieves([space], lambda_max, budget)
     return _sieve(space, lambda_max)
 
 
@@ -300,8 +305,8 @@ def _count_memo(space: LensSpace) -> dict[int, int]:
 def _work(space: LensSpace, halves: list[int]) -> int:
     """The charge of counting the space at every half-cutoff in `halves`.
 
-    `_sum_lines` evaluates at most isqrt(half) rows and as many columns
-    of two lines.  n = 2: the base table's `_grid_work`, k^2, and k^2
+    `_sum_lines` makes one prefix call per row and two per column, at most
+    3 isqrt(half) in all.  n = 2: the base table's `_grid_work`, k^2, and k^2
     prefix sums, one per line.  n >= 3, two regions: k per dot product,
     and per profile row built at most the `_profile_work` of a row of
     n + 1 weights, as in the cumulative profile: n + 1 passes of k entries,
@@ -319,27 +324,28 @@ def _work(space: LensSpace, halves: list[int]) -> int:
     return row * (m + min(lines, largest + 1) + isqrt(largest) + 1) + 2 * k * lines
 
 
-def _sum_lines(half: int, low: int, row, column) -> int:
-    """Sum over the cells u >= 1, v >= low, u v <= half, line by line.
+def _sum_lines(half: int, n: int, prefix) -> int:
+    """Sum of a value symmetric in (p, q) over the cells q >= 1, q(p + n - 1) <= half.
 
-    row(u, top) sums the cells v = low..top of a row of `_lines`, and
-    column(v, b) - column(v, a) the cells u = a+1..b of a column.  A column
-    starts past isqrt(half) >= v >= low, so a line that starts at low is a row.
+    prefix(f, x) = sum of value(f, m), 0 <= m < x; each line of `_lines`
+    adds prefix(f, hi) - prefix(f, lo), a row's lo = 0 term dropped.
     """
-    return sum(row(f, top) if start == low else column(f, top) - column(f, start - 1)
-               for f, start, top in _lines(half, low))
+    return sum(prefix(f, hi) - prefix(f, lo) if lo else prefix(f, hi)
+               for _, _, f, lo, hi in _lines(half, n))
 
 
-def _lines(half: int, low: int):
-    """The Dirichlet split of the cells u >= 1, v >= low, u v <= half.
+def _lines(half: int, n: int):
+    """The Dirichlet split of the cells q >= 1, p >= 0, q(p + n - 1) <= half.
 
-    Rows u <= s = isqrt(half) with half // u >= low run v = low..half // u,
-    and columns low <= v <= s run u = s+1..half // v; past u = s, v < s+1,
-    so every cell is on one line.  Each line is (fixed, start, top).
+    In u = q, v = p + n - 1, rows u <= s = isqrt(half) run v = n - 1..half // u,
+    columns n - 1 <= v <= s run u = s+1..half // v, and past u = s, v < s+1.
+    A line (fixed, shift, f, lo, hi) runs m over [lo, hi): a row fixes q = f
+    = u, p = m, lo = 0; a column fixes p = f = v - n + 1, q = m, lo = s + 1.
+    The cell's index u v is fixed (m + shift).
     """
     s = isqrt(max(half, 0))
-    rows = ((u, low, half // u) for u in range(1, s + 1) if half // u >= low)
-    return chain(rows, ((v, s + 1, half // v) for v in range(low, s + 1)))
+    rows = ((u, n - 1, u, 0, hi) for u in range(1, s + 1) if (hi := half // u - n + 2) > 0)
+    return chain(rows, ((v, 0, v - n + 1, s + 1, half // v + 1) for v in range(n - 1, s + 1)))
 
 
 def _count_recurrence(space: LensSpace, halves: list[int]) -> list[int]:
@@ -365,37 +371,31 @@ def _count_recurrence(space: LensSpace, halves: list[int]) -> list[int]:
             + d * ((a // k) * (c * full + part) + full * c * (c - 1) // 2 + c * part)
         )
 
-    # Row q holds p = 0..top - 1; column v = p + 1 holds q = 0..top.
-    def column(v: int, top: int) -> int:
-        return line(v - 1, top + 1)
-
-    return [_sum_lines(half, 1, line, column) for half in halves]
+    return [_sum_lines(half, 2, line) for half in halves]
 
 
 def _count_convolution(space: LensSpace, halves: list[int]) -> list[int]:
     """N_L for n >= 3 as the sum of N over the cells minus the (-1, -1) shift.
 
     dim(p, q) = N(p, q) - N(p-1, q-1) with N = 0 off p, q >= 0, and N(p, q)
-    is the dot product of profile rows p and q.  Over a row or a column,
-    N sums to the dot product of a plain row with a cumulative one: a
-    zero weight appended makes the profile cumulative.
+    is the dot product of profile rows p and q.  Over m < x, N(f, m) sums
+    to the dot product of plain row f with cumulative row x - 1: a zero
+    weight appended makes the profile cumulative.
     """
-    n, k = space.n, space.k
+    k = space.k
     plain, cum = _profile_rows(space.weights, k), _profile_rows(space.weights + (0,), k)
 
-    def region(half: int, low: int, shift: int) -> int:
-        """Sum of N(v - low, u - shift) over u >= 1, v >= low, u v <= half."""
-        return _sum_lines(half, low, lambda u, t: _dot(cum(t - low), plain(u - shift)),
-                          lambda v, t: _dot(plain(v - low), cum(t - shift)))
+    def prefix(f: int, x: int) -> int:
+        """Sum of dim(f, m) over m < x; every line has x >= 1."""
+        total = _dot(plain(f), cum(x - 1))
+        return total - _dot(plain(f - 1), cum(x - 2)) if f and x > 1 else total
 
-    # (p, q) = (v - n + 1, u) and (p - 1, q - 1) = (v - n, u - 1).
-    return [region(half, n - 1, 0) - region(half, n, 1) for half in halves]
+    return [_sum_lines(half, space.n, prefix) for half in halves]
 
 
 def counting_grid_size(n: int, lam: int) -> int:
     """Number of (p, q) pairs the counting function sums over at cutoff lam."""
-    # Row q holds v = p + n - 1 = n - 1..top; column v holds q = 1..top.
-    return _sum_lines(lam // 2, n - 1, lambda u, top: top - n + 2, lambda v, top: top)
+    return _sum_lines(lam // 2, n, lambda f, x: x)
 
 
 def spectrum_to_csv(table: SpectrumTable) -> str:

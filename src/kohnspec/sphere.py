@@ -4,8 +4,8 @@ The eigenspaces of the Kohn Laplacian on the sphere are the bigraded
 harmonic spaces indexed by (p, q), of eigenvalue 2q(p + n - 1); the
 kernel (q = 0) is excluded from all counting.  The cell walker `_rows`
 serves only the `sphere_counting` oracle; counts, the grid size and the
-lemma sums are line sums (`spectrum._sum_lines`), and the spectrum sieve
-adds one line at a time over the same split.
+lemma sums sum the lines of `spectrum._lines` by one prefix function each
+(`spectrum._sum_lines`), and the spectrum sieve adds those lines one at a time.
 """
 from __future__ import annotations
 

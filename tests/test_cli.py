@@ -424,9 +424,12 @@ def test_isospec_budget_flag(capsys):
     argv = ["isospec", "--lens", "7:1,2", "--lens", "7:1,3", "--lambda-max", "100"]
     code, out, err = run(capsys, *argv, "--budget", "10")
     assert code == 2 and out == ""
+    # Refused by the lower bound lambda_max // 2 per sieve, before the lines are summed.
+    assert "work 100 exceeds budget 10" in err
     # Both sieves: their cells plus 7^2 each for the base tables.
     work = 2 * (spectrum.counting_grid_size(2, 100) + 49)
-    assert f"work {work} exceeds budget 10" in err
+    code, out, err = run(capsys, *argv, "--budget", str(work - 1))
+    assert code == 2 and f"work {work} exceeds budget {work - 1}" in err
     code, out, _ = run(capsys, *argv, "--budget", str(work))
     assert code == 0 and json.loads(out)["spectra_equal"] is False
 
@@ -542,6 +545,32 @@ def test_span_over_the_default_budget_exits_2_at_once():
     proc, elapsed = run_process("span", "--k", "3", "--lambda-max", str(10**12))
     assert proc.returncode == 2 and "exceeds budget 10000000" in proc.stderr
     assert elapsed < 1.0
+
+
+def test_huge_spectrum_is_refused_and_huge_isospec_settled_at_once():
+    # Each sieve's price is at least lambda_max // 2, charged before its lines are summed.
+    proc, elapsed = run_process("spectrum", "--lens", "5:1,2", "--lambda-max", str(10**13))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds budget 10000000" in proc.stderr
+    assert elapsed < 1.0
+    # A witness settles the pair before any sieve is priced.
+    proc, elapsed = run_process("isospec", "--lens", "7:1,3", "--lens", "7:3,2",
+                                "--lambda-max", str(10**13))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["spectra_equal"] is True and result["witness"] is not None
+    assert elapsed < 1.0
+
+
+def test_huge_weyl_and_remainder_sweeps_are_refused_before_listing_cutoffs():
+    # Listing 10^8 cutoffs would exhaust the capped memory.
+    for argv in (("weyl", "--lens", "5:1,2", "--lambda-max", "200000000", "--stride", "2"),
+                 ("remainder", "--lens", "5:1,2", "--lambda-max", "200000000",
+                  "--samples", "100000000")):
+        proc, elapsed = run_process(*argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "exceeds budget 10000000" in proc.stderr
+        assert elapsed < 1.0
 
 
 def test_cmatrix_over_budget_allocates_nothing():

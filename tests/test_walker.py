@@ -176,27 +176,52 @@ def test_grid_size_and_ratio_decay_match_rectangle_scans(n, cutoffs):
 
 
 polynomials = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-5, 5), max_size=5
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).map(sorted).map(tuple),
+    st.integers(-5, 5),
+    max_size=5,
 )
 
 
+def bidegree_cells(half, n):
+    """Every (p, q) with q >= 1 and q(p + n - 1) <= half, by a scan of the rows q."""
+    return [(p, q) for q in range(1, half + 1) for p in range(half // q - n + 2)]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 3000), st.integers(1, 6), polynomials)
-@example(0, 1, {(0, 0): 1})
-@example(-2, 1, {(0, 0): 1})
-@example(4, 6, {(1, 1): 2})
-def test_line_sums_match_a_scan_of_every_cell(half, low, coefficients):
-    def f(u, v):
-        return sum(c * u**i * v**j for (i, j), c in coefficients.items())
+@given(st.integers(-2, 3000), st.integers(2, 7), polynomials)
+@example(0, 2, {(0, 0): 1})
+@example(-2, 2, {(0, 0): 1})
+@example(4, 7, {(1, 1): 2})
+def test_line_sums_match_a_scan_of_every_cell(half, n, coefficients):
+    def value(p, q):  # c_ij = c_ji, so symmetric in (p, q)
+        return sum(c * (p**i * q**j + p**j * q**i) for (i, j), c in coefficients.items())
 
-    def row(u, top):
-        return sum(f(u, v) for v in range(low, top + 1))
+    def prefix(f, x):
+        return sum(value(f, m) for m in range(x))
 
-    def column(v, top):
-        return sum(f(u, v) for u in range(1, top + 1))
+    scan = sum(value(p, q) for p, q in bidegree_cells(half, n))
+    assert _sum_lines(half, n, prefix) == scan
 
-    scan = sum(f(u, v) for u in range(1, half + 1) for v in range(low, half // u + 1))
-    assert _sum_lines(half, low, row, column) == scan
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_lines_list_each_cell_once_with_its_index(n):
+    for half in [*range(-2, 150), 999, 1000, 3000]:
+        listed = []
+        for fixed, shift, f, lo, hi in spectrum._lines(half, n):
+            for m in range(lo, hi):
+                p, q = (m, f) if shift else (f, m)  # A row has shift n - 1, a column 0.
+                assert fixed * (m + shift) == q * (p + n - 1)
+                listed.append((p, q))
+        assert sorted(listed) == sorted(bidegree_cells(half, n))
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_n3_count_walks_the_lines_once_per_cutoff(monkeypatch):
+    calls, lines = [], spectrum._lines
+    monkeypatch.setattr(spectrum, "_lines", lambda *args: calls.append(args) or lines(*args))
+    space = make_lens_space(3, 9, [1, 2, 4])
+    assert _counts([space], [400, 4000, 40000], None)[0][0] == walked_count(space, 400)
+    assert len(calls) == 3
 
 
 def test_ratio_decay_sums_lines_not_cells():
