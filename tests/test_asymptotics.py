@@ -85,6 +85,82 @@ def test_quadrature_refinement_limit():
         _adaptive_simpson(_weyl_integrand(2), -50.0, 50.0, 1e-14, 2)
 
 
+def _reference_simpson(f, a, b, tol, max_depth):
+    """The textbook form, one three-point `simpson` call per half: the bit-level oracle."""
+
+    def simpson(x0, f0, x1, f1):
+        xm = 0.5 * (x0 + x1)
+        fm = f(xm)
+        return xm, fm, (x1 - x0) / 6.0 * (f0 + 4.0 * fm + f1)
+
+    def recurse(x0, f0, x1, f1, xm, fm, whole, tol, depth):
+        lm, flm, left = simpson(x0, f0, xm, fm)
+        rm, frm, right = simpson(xm, fm, x1, f1)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * tol:
+            return left + right + delta / 15.0
+        if depth <= 0:
+            raise NonConvergence(
+                f"refinement limit reached on [{x0}, {x1}] with error {abs(delta):.3e}"
+            )
+        return recurse(x0, f0, xm, fm, lm, flm, left, tol / 2.0, depth - 1) + recurse(
+            xm, fm, x1, f1, rm, frm, right, tol / 2.0, depth - 1
+        )
+
+    fa, fb = f(a), f(b)
+    m, fm, whole = simpson(a, fa, b, fb)
+    return recurse(a, fa, b, fb, m, fm, whole, tol, max_depth)
+
+
+def _outcome(quadrature, n, tol, max_depth):
+    try:
+        return quadrature(_weyl_integrand(n), -50.0, 50.0, tol, max_depth).hex()
+    except NonConvergence as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]), st.integers(2, 48))
+@example(8, 1e-12, 48)
+@example(2, 1e-12, 2)
+def test_quadrature_is_bit_identical_to_the_three_point_form(n, tol, max_depth):
+    assert _outcome(_adaptive_simpson, n, tol, max_depth) == _outcome(
+        _reference_simpson, n, tol, max_depth)
+
+
+def test_universal_constant_bits_and_failures_are_pinned():
+    # `bench/digests.json` pins the last digits of `remainder`, so these may not move.
+    pinned = ["0x1.5555555555851p-6", "0x1.21bb945252689p-9", "0x1.4061b2c170322p-12",
+              "0x1.82ec3ae2810f6p-15", "0x1.e450914c08a7ap-18", "0x1.33d3574687608p-20",
+              "0x1.89de3f60bb7d4p-23"]
+    assert [universal_constant(n).hex() for n in range(2, 9)] == pinned
+    for n, message in [
+        (9, "[-7.884061896610817, -7.884061896610461] with error 5.377e-24"),
+        (10, "[-11.473652238527166, -11.47365223852681] with error 1.303e-23"),
+    ]:
+        with pytest.raises(NonConvergence) as excinfo:
+            universal_constant(n)
+        assert str(excinfo.value) == "refinement limit reached on " + message
+
+
+def test_quadrature_evaluates_each_node_once(monkeypatch):
+    from kohnspec import asymptotics, clear_caches
+
+    calls = []
+
+    def counted(n):
+        f = _weyl_integrand(n)
+        return lambda x: calls.append(x) or f(x)
+
+    monkeypatch.setattr(asymptotics, "_weyl_integrand", counted)
+    for n, evaluations in [(2, 3249), (8, 26913)]:
+        clear_caches()
+        calls.clear()
+        universal_constant(n)
+        assert len(calls) == evaluations
+    clear_caches()
+
+
 def test_bound_examples_hold():
     for N, m, d, n in [(10, 2, 3, 3), (0, 1, 1, 3), (25, 1, 5, 4), (40, 3, 2, 5)]:
         params = BoundParams(N=N, m=m, d=d, n=n)

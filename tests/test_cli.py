@@ -499,6 +499,22 @@ def test_remainder_budget_flag(capsys):
     assert len(out.strip().splitlines()) == 5
 
 
+def test_remainder_refusal_runs_no_quadrature(capsys, monkeypatch):
+    from kohnspec import asymptotics, clear_caches
+
+    quad, calls = asymptotics._adaptive_simpson, []
+    monkeypatch.setattr(asymptotics, "_adaptive_simpson",
+                        lambda *args: calls.append(args) or quad(*args))
+    clear_caches()
+    # n = 9 raises NonConvergence once its quadrature runs; n = 8 converges.
+    for weights in ("1,1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1"):
+        code, out, err = run(capsys, "remainder", "--lens", "2:" + weights, "--lambda-max", "24",
+                             "--samples", "1", "--budget", "1")
+        assert (code, out) == (2, "")
+        assert "work 3 exceeds budget 1" in err
+    assert calls == []
+
+
 def test_weyl_budget_flag(capsys):
     argv = ["weyl", "--lens", "3:1,2", "--lambda-max", "2000", "--stride", "500"]
     code, _, err = run(capsys, *argv, "--budget", "100")
