@@ -18,8 +18,8 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from .core import (
-    DEFAULT_BUDGET, DimensionTooSmall, LensSpace, NonConvergence, UnsupportedDimension,
-    charge, make_lens_space,
+    DEFAULT_BUDGET, LensSpace, NonConvergence, UnsupportedDimension, charge, check_dimension,
+    make_lens_space,
 )
 from .spectrum import _counts, _sum_lines, lens_counting
 
@@ -161,8 +161,7 @@ def universal_constant(n: int) -> float:
     truncated interval [-T, T].  For n = 2 the closed form is 1/48.
     Memoized per n; a raised NonConvergence is not, so it is raised again.
     """
-    if n < 2:
-        raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
+    check_dimension(n)
     integral = _adaptive_simpson(
         _weyl_integrand(n), -_TRUNCATION, _TRUNCATION, _TOLERANCE, _MAX_REFINEMENTS
     )
@@ -264,8 +263,7 @@ def lemma_ratio_decay(n: int, lambda_list: list[int]) -> list[Fraction]:
     in closed form by the hockey-stick identity sum_(j<=m) C(j, r) = C(m+1, r+1).
     B's counts are charged against the default budget (`ResourceLimit`).
     """
-    if n < 2:
-        raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
+    check_dimension(n)
 
     sphere = make_lens_space(n, 1, [1] * n)
     (b_sums,) = _counts([sphere], [2 * h for h in lambda_list], DEFAULT_BUDGET)

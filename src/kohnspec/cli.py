@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 
 from . import asymptotics, genfunc, isospectral, spectrum
 from .core import DEFAULT_BUDGET, KohnSpecError, LensSpace, charge, parse_lens_spec
@@ -152,22 +152,16 @@ def cmd_bounds_check(args) -> int:
     tuples = len(dims) * (args.n_max + 1) * args.m_max * args.d_max
     # A tuple sums at most n_max + 1 terms a side, plus its binomials.
     charge(tuples * (args.n_max + 2), args.budget)
-    checked = 0
-    for n in dims:
-        for N in range(args.n_max + 1):
-            for m in range(1, args.m_max + 1):
-                for d in range(1, args.d_max + 1):
-                    params = asymptotics.BoundParams(N=N, m=m, d=d, n=n)
-                    lower = asymptotics.check_lower_bound(params)
-                    upper = asymptotics.check_upper_bound(params)
-                    checked += 1
-                    if not (lower.holds and upper.holds):
-                        side = "lower" if not lower.holds else "upper"
-                        print(
-                            f"violation: {side} bound fails at N={N} m={m} d={d} n={n}"
-                        )
-                        return 3
-    print(f"checked {checked} parameter tuples: all bounds hold")
+    for n, N, m, d in product(dims, range(args.n_max + 1), range(1, args.m_max + 1),
+                              range(1, args.d_max + 1)):
+        params = asymptotics.BoundParams(N=N, m=m, d=d, n=n)
+        lower = asymptotics.check_lower_bound(params)
+        upper = asymptotics.check_upper_bound(params)
+        if not (lower.holds and upper.holds):
+            side = "lower" if not lower.holds else "upper"
+            print(f"violation: {side} bound fails at N={N} m={m} d={d} n={n}")
+            return 3
+    print(f"checked {tuples} parameter tuples: all bounds hold")
     return 0
 
 

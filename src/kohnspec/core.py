@@ -39,6 +39,12 @@ def charge(work: int, budget: int | None) -> None:
         raise ResourceLimit(f"work {work} exceeds budget {budget}")
 
 
+def check_dimension(n: int) -> None:
+    """Reject a dimension parameter n below 2."""
+    if n < 2:
+        raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
+
+
 def check_bidegree(p: int, q: int) -> None:
     """Reject a bidegree (p, q) with a negative component."""
     if p < 0 or q < 0:
@@ -91,8 +97,7 @@ def make_lens_space(n: int, k: int, weights) -> LensSpace:
     """
     if k < 1:
         raise InvalidOrder(f"group order must be >= 1, got {k}")
-    if n < 2:
-        raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
+    check_dimension(n)
     ws = tuple(int(w) for w in weights)
     if len(ws) != n:
         raise ValueError(f"expected {n} weights, got {len(ws)}")

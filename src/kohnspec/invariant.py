@@ -216,9 +216,12 @@ def mn_counts(space: LensSpace, p: int, q: int) -> MNCounts:
 def base_dim_table(space: LensSpace) -> tuple[tuple[int, ...], ...]:
     """The k x k table of invariant dimensions for 0 <= p, q < k (n = 2).
 
-    The shift recurrence reduces every bidegree to this table, so it is
-    the complete spectral fingerprint of a 3-d lens space.  It is
-    `dim_grid` of size k - 1, O(k^2); the last few tables are cached.
+    The shift recurrence reduces every bidegree to this table and d =
+    gcd(k, l_1 - l_2), and the diagonal carries d: solve(0) = 0 gives
+    dim(p, p) = 2 floor(p/s) + 1, s = k/d, which first reaches 3 at p = s,
+    or never when d = 1.  The table alone is thus the complete spectral
+    fingerprint of a 3-d lens space.  It is `dim_grid` of size k - 1,
+    O(k^2); the last few tables are cached.
     """
     if space.n != 2:
         raise UnsupportedDimension(f"base table needs n = 2, got n={space.n}")
@@ -251,7 +254,8 @@ def dim_cell(space: LensSpace) -> Callable[[int, int], int]:
     The one place that picks the per-cell route for a space: the n = 2
     closed form, O(1) per cell with no table, or for higher n the space
     bound to the convolution.  A caller asking about many cells binds it
-    once.  Bidegrees are not sign-checked.
+    once.  The n = 2 closed form does not sign-check bidegrees;
+    `dim_invariant_dp`, the route for n >= 3, checks every cell.
     """
     return _closed_form(space) if space.n == 2 else partial(dim_invariant_dp, space)
 

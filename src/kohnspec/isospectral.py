@@ -24,7 +24,7 @@ from .core import (
     charge,
     gcd_invariant,
 )
-from .invariant import _grid_work, base_dim_table, dim_grid
+from .invariant import _grid_work, dim_grid
 from .spectrum import (_bidegrees_for, _charge_sieves, _check_cutoff, _check_eigenvalue,
                        multiplicity_table)
 
@@ -123,23 +123,21 @@ def _compare_spectra(
 def dims_equal(space: LensSpace, other: LensSpace) -> bool:
     """Whether all invariant dimensions agree: a complete decision for every n.
 
-    For n = 2 the shift reduction means two spaces agree everywhere iff
-    they share the congruence invariant d and the k x k base table.  For
-    n >= 3, profile row e + ck is a polynomial of degree < n in c, so on
-    each residue class of (p, q) mod k, N(p, q) is a polynomial of degree
-    < n in floor(p/k) and in floor(q/k), fixed by its values at p, q < nk;
-    dim(p, q) = N(p, q) - N(p-1, q-1) fixes N there, so the dimensions on
-    the nk x nk box decide.  Charged against `DEFAULT_BUDGET` before any
-    table is built: each space's `_grid_work`, k^2 per base table, or per
-    box k per dot product taken, about 1/g of its cells, plus nk profile rows.
+    The dimensions on the box p, q <= size decide.  For n = 2, size k - 1:
+    the shift reduction fixes every dimension from the k x k base table and
+    d, and the table fixes d (`base_dim_table`).  For n >= 3, size nk - 1:
+    profile row e + ck is a polynomial of degree < n in c, so on each
+    residue class of (p, q) mod k, N(p, q) is a polynomial of degree < n in
+    floor(p/k) and in floor(q/k), fixed by its values at p, q < nk, where
+    dim(p, q) = N(p, q) - N(p-1, q-1) fixes N.  Charged against
+    `DEFAULT_BUDGET` before any grid is built: each space's `_grid_work`,
+    k^2 at n = 2, else k per dot product taken (about 1/g of the cells)
+    plus nk profile rows.
     """
     _check_comparable(space, other)
     n, k = space.n, space.k
     size = k - 1 if n == 2 else n * k - 1
     charge(_grid_work(space, size) + _grid_work(other, size), DEFAULT_BUDGET)
-    if n == 2:
-        return (gcd_invariant(space) == gcd_invariant(other)
-                and base_dim_table(space) == base_dim_table(other))
     return dim_grid(space, size) == dim_grid(other, size)
 
 

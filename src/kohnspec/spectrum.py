@@ -114,8 +114,10 @@ def _check_cutoff(lambda_max: int) -> None:
 
 
 def _charge_sieves(spaces, lambda_max: int, budget: int | None) -> None:
-    """Charge the `_sieve`s of `spaces` to lambda_max together, before any runs."""
+    """Charge the `_sieve`s of `spaces` to lambda_max, before any runs; None: no charge."""
     _check_cutoff(lambda_max)
+    if budget is None:
+        return
     # Each costs lam/2 at least (n = 2: the row q = 1 holds lam/2 cells; n >= 3:
     # the lam/2 + 1 profile rows), so a huge cutoff is refused before lines are summed.
     charge(len(spaces) * (lambda_max // 2), budget)
@@ -242,7 +244,7 @@ def _line_dims(space: LensSpace, half: int):
 
 
 def build_spectrum(
-    space: LensSpace, lambda_max: int, budget: int = DEFAULT_BUDGET
+    space: LensSpace, lambda_max: int, budget: int | None = DEFAULT_BUDGET
 ) -> SpectrumTable:
     """Assemble the eigenvalue table for all even eigenvalues <= lambda_max.
 

@@ -13,7 +13,7 @@ from functools import partial
 from itertools import product, starmap
 from math import comb
 
-from .core import DimensionTooSmall, check_bidegree
+from .core import check_bidegree, check_dimension
 
 
 def dim_hpq(n: int, p: int, q: int) -> int:
@@ -23,8 +23,7 @@ def dim_hpq(n: int, p: int, q: int) -> int:
     as (p+q+n-1) * C(...) * C(...) / (n-1) with the division asserted to
     be exact.  Arbitrary precision.
     """
-    if n < 2:
-        raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
+    check_dimension(n)
     check_bidegree(p, q)
     numerator = (p + q + n - 1) * comb(p + n - 2, n - 2) * comb(q + n - 2, n - 2)
     quotient, remainder = divmod(numerator, n - 1)
@@ -34,8 +33,7 @@ def dim_hpq(n: int, p: int, q: int) -> int:
 
 def eigenvalue(n: int, p: int, q: int) -> int:
     """Kohn Laplacian eigenvalue 2q(p + n - 1) of the (p, q) eigenspace."""
-    if n < 2:
-        raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
+    check_dimension(n)
     check_bidegree(p, q)
     return 2 * q * (p + n - 1)
 
@@ -68,8 +66,7 @@ def sphere_counting(n: int, lam: int) -> int:
     Sums dim_hpq over p and the admissible q-range 1 <= q <= lam/(2(p+n-1)),
     mirroring the double sum the asymptotic analysis manipulates.
     """
-    if n < 2:
-        raise DimensionTooSmall(f"dimension parameter must be >= 2, got {n}")
+    check_dimension(n)
     if lam < 0:
         raise ValueError("eigenvalue cutoff must be nonnegative")
     return _fold(n, lam, partial(dim_hpq, n))

@@ -147,6 +147,28 @@ def test_bounds_check_exits_clean(capsys):
     assert "all bounds hold" in out
 
 
+def test_bounds_check_walks_dims_then_N_m_d(capsys, monkeypatch):
+    from kohnspec import asymptotics
+
+    visited, lower = [], asymptotics.check_lower_bound
+    monkeypatch.setattr(asymptotics, "check_lower_bound",
+                        lambda params: visited.append(params) or lower(params))
+    code, out, _ = run(capsys, "bounds-check", "--dims", "3,4", "--n-max", "1",
+                       "--m-max", "2", "--d-max", "2")
+    assert code == 0 and out == "checked 16 parameter tuples: all bounds hold\n"
+    assert visited == [asymptotics.BoundParams(N=N, m=m, d=d, n=n)
+                       for n in (3, 4) for N in range(2) for m in (1, 2) for d in (1, 2)]
+
+
+def test_bounds_check_reports_the_first_violation(capsys, monkeypatch):
+    from kohnspec import asymptotics
+
+    failing = asymptotics.BoundCheck(lhs=1, rhs=0, holds=False)
+    monkeypatch.setattr(asymptotics, "check_lower_bound", lambda params: failing)
+    code, out, _ = run(capsys, "bounds-check")
+    assert code == 3
+    assert out == "violation: lower bound fails at N=0 m=1 d=1 n=3\n"
+
 def test_isospec_subcommand(capsys):
     code, out, _ = run(
         capsys,

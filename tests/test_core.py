@@ -3,17 +3,23 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from kohnspec.asymptotics import lemma_ratio_decay, remainder_experiment, universal_constant
 from kohnspec.core import (
     DimensionTooSmall,
     InvalidOrder,
     InvalidWeight,
     LensSpace,
+    MismatchedSpaces,
     UnsupportedDimension,
     format_lens_spec,
     gcd_invariant,
     make_lens_space,
     parse_lens_spec,
 )
+from kohnspec.genfunc import independence_probe
+from kohnspec.invariant import base_dim_table
+from kohnspec.isospectral import spectra_equal_up_to, t_apply
+from kohnspec.sphere import dim_hpq, eigenvalue, sphere_counting
 
 
 def test_valid_space_passes_through():
@@ -100,3 +106,39 @@ def test_text_format_rejects_garbage():
         parse_lens_spec("5;1,2")
     with pytest.raises(ValueError):
         parse_lens_spec("5:")
+
+
+@pytest.mark.parametrize("call, args", [
+    pytest.param(call, args, id=call.__name__) for call, args in [
+        (make_lens_space, (1, 5, [1])),
+        (dim_hpq, (1, 0, 0)),
+        (eigenvalue, (1, 0, 1)),
+        (sphere_counting, (1, 10)),
+        (universal_constant, (1,)),
+        (lemma_ratio_decay, (1, [4])),
+    ]
+])
+def test_every_entry_point_refuses_n_below_2(call, args):
+    with pytest.raises(DimensionTooSmall) as info:
+        call(*args)
+    assert str(info.value) == "dimension parameter must be >= 2, got 1"
+
+
+@pytest.mark.parametrize("call, args, error, message", [
+    pytest.param(call, args, error, message, id=call.__name__)
+    for call, args, error, message in [
+        (remainder_experiment, (make_lens_space(2, 5, [1, 2]), 3, 2), ValueError,
+         "lambda_max must be at least 2*samples"),
+        (independence_probe, (1, []), InvalidOrder, "independence probe needs k >= 2, got 1"),
+        (base_dim_table, (make_lens_space(3, 5, [1, 2, 3]),), UnsupportedDimension,
+         "base table needs n = 2, got n=3"),
+        (spectra_equal_up_to, (make_lens_space(2, 5, [1, 2]), make_lens_space(3, 5, [1, 2, 3]),
+                               10), MismatchedSpaces, "spectral comparison needs equal n"),
+        (t_apply, ([[1, 2]],), ValueError, "matrix must be square"),
+        (sphere_counting, (2, -2), ValueError, "eigenvalue cutoff must be nonnegative"),
+    ]
+])
+def test_refusals(call, args, error, message):
+    with pytest.raises(error) as info:
+        call(*args)
+    assert type(info.value) is error and str(info.value) == message

@@ -13,11 +13,13 @@ from kohnspec.core import (
     MismatchedSpaces,
     ResourceLimit,
     UnsupportedDimension,
+    gcd_invariant,
     make_lens_space,
 )
-from kohnspec.invariant import dim_cell, dim_invariant_bruteforce
+from kohnspec.invariant import base_dim_table, dim_cell, dim_invariant_bruteforce
 from kohnspec.isospectral import (
     IsometryWitness,
+    _compare_spectra,
     _integer_rank,
     _residue_counts,
     _totient,
@@ -205,6 +207,17 @@ def test_non_isometric_prime_pair_is_separated_at_cutoff_64(monkeypatch):
     assert cutoffs == [64, 64]
 
 
+def test_isospec_prices_each_sieve_once(monkeypatch):
+    from kohnspec import spectrum
+
+    priced, work = [], spectrum._sieve_work
+    monkeypatch.setattr(spectrum, "_sieve_work",
+                        lambda space, lam: priced.append(lam) or work(space, lam))
+    first, second = make_lens_space(2, 7, [1, 2]), make_lens_space(2, 7, [1, 3])
+    assert _compare_spectra(first, second, 2000, 10**7) == (None, False)
+    # The rising tables are run with budget None: the charge at 2000 covers them.
+    assert priced == [2000, 2000]
+
 def test_dims_equal_examples():
     assert dims_equal(make_lens_space(2, 3, [1, 2]), make_lens_space(2, 3, [2, 1]))
     assert not dims_equal(
@@ -294,6 +307,29 @@ def test_dims_equal_charges_the_symmetric_grid(monkeypatch):
     charged = _charge_of_dims_equal(monkeypatch, make_lens_space(3, 200, [1, 3, 7]))
     assert charged == 36_861_600 > DEFAULT_BUDGET
 
+
+def test_dims_equal_at_n2_is_equal_d_and_base_table():
+    # Every pair of n = 2 spaces with k <= 12 (about 13,700 pairs): the box
+    # decides exactly as equal congruence invariants and equal base tables.
+    verdicts = set()
+    for k in range(1, 13):
+        spaces = [make_lens_space(2, k, ws) for ws in product(units_of(k) or [0], repeat=2)]
+        keys = [(gcd_invariant(space), base_dim_table(space)) for space in spaces]
+        for (first, key), (second, other) in product(zip(spaces, keys), repeat=2):
+            verdict = dims_equal(first, second)
+            assert verdict == (key == other), (first, second)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_base_table_diagonal_carries_d(k, seed_a, seed_b):
+    units = units_of(k) or [0]
+    space = make_lens_space(2, k, [units[seed_a % len(units)], units[seed_b % len(units)]])
+    s = k // gcd_invariant(space)
+    table = base_dim_table(space)
+    assert [table[p][p] for p in range(k)] == [2 * (p // s) + 1 for p in range(k)]
 
 def test_d_invariant_examples():
     assert not d_invariant_check(
