@@ -374,30 +374,38 @@ def test_count_budget_refuses_before_any_table(capsys):
 def test_count_charges_the_base_table_fill_before_it(capsys, monkeypatch):
     from kohnspec import isospectral, spectrum
 
-    calls = []
-    monkeypatch.setattr(spectrum, "base_dim_table", lambda *args: calls.append(args))
+    calls, table = [], spectrum.base_dim_table
+    monkeypatch.setattr(spectrum, "base_dim_table",
+                        lambda *args: calls.append(args) or table(*args))
     code, out, err = run(capsys, "count", "--lens", "2237:1,2", "--lambda-max", "4")
     assert code == 2 and out == ""
     assert "budget" in err
     assert calls == []
+    # The control: an admitted count fills the table through the same name.
+    assert run(capsys, "count", "--lens", "7:1,2", "--lambda-max", "40")[0] == 0
+    assert calls == [(parse_lens_spec("7:1,2"),)]
     # 2 k^2 (fill and prefix sums) plus 3 lines: k = 2236 is the largest
     # order counted under the default budget.
-    below = spectrum._work(parse_lens_spec("2236:1,3"), [2])
+    below = spectrum._kernel(parse_lens_spec("2236:1,3")).count_work([2])
     assert below == 2 * 2236**2 + 3 <= DEFAULT_BUDGET
 
 
 def test_spectrum_charges_the_base_table_fill_before_it(capsys, monkeypatch):
     from kohnspec import invariant, spectrum
 
-    calls = []
+    calls, table = [], invariant.base_dim_table
     # The sieve reaches the table through the name spectrum imports.
     for module in (invariant, spectrum):
-        monkeypatch.setattr(module, "base_dim_table", lambda *args: calls.append(args))
+        monkeypatch.setattr(module, "base_dim_table",
+                            lambda *args: calls.append(args) or table(*args))
     argv = ["spectrum", "--lens", "4099:1,2", "--lambda-max", "4"]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "budget" in err
     assert calls == []
+    # The control: an admitted sieve fills the table through the same name.
+    assert run(capsys, "spectrum", "--lens", "7:1,2", "--lambda-max", "40")[0] == 0
+    assert calls == [(parse_lens_spec("7:1,2"),)]
 
 
 def test_isospec_charges_both_sieves_before_either(capsys, monkeypatch):
@@ -406,7 +414,8 @@ def test_isospec_charges_both_sieves_before_either(capsys, monkeypatch):
     calls = []
     # What an n = 2 sieve builds first, and what any other one calls.
     for name in ("base_dim_table", "dim_cell"):
-        monkeypatch.setattr(spectrum, name, lambda *args: calls.append(args))
+        monkeypatch.setattr(spectrum, name, lambda *args, route=getattr(spectrum, name):
+                            calls.append((route.__name__, *args)) or route(*args))
     argv = ["isospec", "--lens", "7:1,2", "--lens", "7:1,3", "--lambda-max", "2000000"]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -420,6 +429,15 @@ def test_isospec_charges_both_sieves_before_either(capsys, monkeypatch):
     code, out, err = run(capsys, *argv[:-1], "100")
     assert code == 2 and out == "" and "budget" in err
     assert calls == []
+    # The control: admitted sieves reach both routes through the same names.
+    monkeypatch.delenv("KOHN_LENS_BUDGET")
+    for lenses in (["7:1,2", "7:1,3"], ["7:1,2,3", "7:1,2,4"]):
+        assert run(capsys, "isospec", "--lens", lenses[0], "--lens", lenses[1],
+                   "--lambda-max", "100")[0] == 0
+    assert calls == [("base_dim_table", parse_lens_spec("7:1,2")),
+                     ("base_dim_table", parse_lens_spec("7:1,3")),
+                     ("dim_cell", parse_lens_spec("7:1,2,3")),
+                     ("dim_cell", parse_lens_spec("7:1,2,4"))]
 
 
 def test_isospec_isometric_pair_is_not_charged_for_sieves(capsys):

@@ -210,9 +210,15 @@ def test_non_isometric_prime_pair_is_separated_at_cutoff_64(monkeypatch):
 def test_isospec_prices_each_sieve_once(monkeypatch):
     from kohnspec import spectrum
 
-    priced, work = [], spectrum._sieve_work
-    monkeypatch.setattr(spectrum, "_sieve_work",
-                        lambda space, lam: priced.append(lam) or work(space, lam))
+    priced, kernel = [], spectrum._kernel
+
+    def recorded(space):
+        built = kernel(space)
+        # The lambda-max priced: a sieve is priced at its half-cutoff.
+        return built._replace(
+            sieve_work=lambda half: priced.append(2 * half) or built.sieve_work(half))
+
+    monkeypatch.setattr(spectrum, "_kernel", recorded)
     first, second = make_lens_space(2, 7, [1, 2]), make_lens_space(2, 7, [1, 3])
     assert _compare_spectra(first, second, 2000, 10**7) == (None, False)
     # The rising tables are run with budget None: the charge at 2000 covers them.

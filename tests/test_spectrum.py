@@ -1,13 +1,14 @@
 import csv
 import io
 import json
+import time
 import tracemalloc
 from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from kohnspec.core import InvalidEigenvalue, ResourceLimit, make_lens_space
+from kohnspec.core import DEFAULT_BUDGET, InvalidEigenvalue, ResourceLimit, make_lens_space
 from kohnspec.invariant import _profile_work, base_dim_table, dim_invariant_bruteforce
 from kohnspec.isospectral import spectra_equal_up_to
 from kohnspec.spectrum import (
@@ -164,7 +165,8 @@ def test_n3_sieve_price_covers_its_dot_products(monkeypatch, space, lambda_max):
     dots, dot = [], invariant._dot
     monkeypatch.setattr(invariant, "_dot", lambda a, b: dots.append(1) or dot(a, b))
     spectrum._sieve(space, lambda_max)
-    dot_work = spectrum._sieve_work(space, lambda_max) - _profile_work(space, lambda_max // 2 + 1)
+    half = lambda_max // 2
+    dot_work = spectrum._kernel(space).sieve_work(half) - _profile_work(space, half + 1)
     assert space.k * len(dots) <= dot_work <= 2 * space.k * len(dots)
 
 def test_csv_round_trip():
@@ -288,15 +290,19 @@ def test_clear_caches_drops_the_entry_templates(monkeypatch):
     assert spectrum._entry.cache_info().currsize > 0
     # The count memo too: a count after clearing is computed again.
     count = lens_counting(SPHERE3, 20)
-    recount, calls = spectrum._count_recurrence, []
-    monkeypatch.setattr(spectrum, "_count_recurrence",
-                        lambda *args: calls.append(args) or recount(*args))
+    kernel, calls = spectrum._kernel, []
+
+    def recorded(space):
+        built = kernel(space)
+        return built._replace(prefix=lambda: calls.append(space) or built.prefix())
+
+    monkeypatch.setattr(spectrum, "_kernel", recorded)
     assert lens_counting(SPHERE3, 20) == count and calls == []
     assert spectrum._count_memo.cache_info().currsize > 0
     clear_caches()
     assert spectrum._entry.cache_info().currsize == 0
     assert spectrum._count_memo.cache_info().currsize == 0
-    assert lens_counting(SPHERE3, 20) == count and calls == [(SPHERE3, [10])]
+    assert lens_counting(SPHERE3, 20) == count and calls == [SPHERE3]
 
 
 def test_provenance_fills_no_base_table():
@@ -312,6 +318,19 @@ def test_provenance_fills_no_base_table():
     ] == [2, 1]
     assert multiplicity(space, 20014) == 3
     assert base_dim_table.cache_info().misses == before
+
+
+def test_one_eigenvalue_is_charged_its_trial_divisions():
+    # isqrt(lam/2) trial divisions against the default budget, as `c_matrix`:
+    # 1e8 at lam = 2e16 is refused at once, 1e7 at 2e14 is admitted.
+    space = make_lens_space(2, 5, [1, 2])
+    start = time.perf_counter()
+    for refused in (lambda: multiplicity(space, 2 * 10**16),
+                    lambda: SpectrumTable(space, 0, {}).contributors(2 * 10**16)):
+        with pytest.raises(ResourceLimit, match=f"work {10**8} exceeds budget {DEFAULT_BUDGET}$"):
+            refused()
+    assert time.perf_counter() - start < 0.1
+    assert multiplicity(space, 2 * 10**14) == 99_996_948_238_911
 
 
 def _forbidden(*args):

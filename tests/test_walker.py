@@ -29,9 +29,8 @@ from kohnspec.core import DEFAULT_BUDGET, ResourceLimit, make_lens_space
 from kohnspec.invariant import dim_cell, dim_invariant
 from kohnspec.isospectral import c_matrix, spectra_equal_up_to
 from kohnspec.spectrum import (
-    _count_convolution,
-    _count_recurrence,
     _counts,
+    _kernel,
     _sum_lines,
     build_spectrum,
     counting_grid_size,
@@ -215,6 +214,29 @@ def test_lines_list_each_cell_once_with_its_index(n):
         assert sorted(listed) == sorted(bidegree_cells(half, n))
 
 
+@settings(max_examples=60, deadline=None)
+@given(lens_spaces(n_values=(2, 3, 4), k_max=10), st.integers(0, 800))
+@example(make_lens_space(2, 7, [1, 2]), 195)  # d = 1, isqrt(half) = 13 < 2k: lazy rows
+@example(make_lens_space(2, 7, [1, 2]), 196)  # d = 1, isqrt(half) = 2k: templates
+@example(make_lens_space(2, 12, [1, 7]), 575)  # d = 6, lazy rows
+@example(make_lens_space(2, 12, [1, 7]), 576)  # d = 6, templates
+@example(make_lens_space(2, 1, [1, 1]), 4)  # the sphere, templates
+@example(make_lens_space(3, 12, [1, 5, 7]), 300)  # g = 2
+@example(make_lens_space(4, 5, [1, 2, 3, 4]), 300)
+def test_kernel_forms_agree_on_every_line(space, half):
+    # The sieve's, the writer's and the count's forms of one line, and the cell route.
+    kernel, cell = _kernel(space), dim_cell(space)
+    lines = list(spectrum._line_cells(half, space.n, kernel.step))
+    dims, table_dims, prefix = kernel.dims(half), kernel.table_dims(half, lines), kernel.prefix()
+    for (_, _, f, lo, hi), (_, fixed, ms, _) in zip(spectrum._lines(half, space.n), lines,
+                                                   strict=True):
+        assert fixed == f
+        values = list(dims(f, ms))
+        assert list(table_dims(f, ms)) == values == [cell(f, m) for m in ms]
+        line_sum = prefix(f, hi) - prefix(f, lo) if lo else prefix(f, hi)
+        assert sum(values) == line_sum == sum(cell(f, m) for m in range(lo, hi))
+
+
 @pytest.mark.usefixtures("cold_caches")
 def test_n3_count_walks_the_lines_once_per_cutoff(monkeypatch):
     calls, lines = [], spectrum._lines
@@ -296,7 +318,7 @@ def test_count_charges_each_pass_over_the_profile_tables():
     # every row at (n + 1)(k + 6); each line evaluation is a dot product of k.
     m, row, lines = 8, 32, 3 * 10**7
     charge = row * (m + lines) + row * (10**7 + 1) + 2 * 2 * lines
-    assert spectrum._work(space, [10**14]) == charge
+    assert spectrum._kernel(space).count_work([10**14]) == charge
     with pytest.raises(ResourceLimit, match=f"work {charge} exceeds"):
         lens_counting(space, 2 * 10**14)
     # No table is sized to the cutoff: 2e6 runs under the default budget.
@@ -325,14 +347,14 @@ def test_dense_sweep_charges_its_setup_once():
     # line evaluation would put weyl on L(9;1,2,4) at 4000, stride 2, near 28M.
     halves = list(range(1, 2001))
     space = make_lens_space(3, 9, [1, 2, 4])
-    work = spectrum._work(space, halves) + spectrum._work(trivial_group(3), halves)
+    work = _kernel(space).count_work(halves) + _kernel(trivial_group(3)).count_work(halves)
     assert work <= DEFAULT_BUDGET
 
 
 def cold_count(space, lams):
     """N_L at each cutoff by the count routine itself, past the memo."""
-    count = _count_recurrence if space.n == 2 else _count_convolution
-    return count(space, [lam // 2 for lam in lams])
+    prefix = _kernel(space).prefix()
+    return [_sum_lines(lam // 2, space.n, prefix) for lam in lams]
 
 
 @settings(max_examples=30, deadline=None)
@@ -356,7 +378,7 @@ def test_memoized_counts_equal_cold_counts(spaces, data):
 @pytest.mark.parametrize("space", [make_lens_space(2, 7, [1, 3]),
                                    make_lens_space(3, 5, [1, 2, 3])])
 def test_memoized_counts_are_charged_like_misses(space, monkeypatch):
-    # Every cutoff below is memoized first, and the count routines then fail:
+    # Every cutoff below is memoized first, and the kernel's prefix then fails:
     # a budget one short of the work still refuses, and the full budget is
     # served from the memo.
     sphere = trivial_group(space.n)
@@ -369,10 +391,10 @@ def test_memoized_counts_are_charged_like_misses(space, monkeypatch):
     def fails(*args):
         raise AssertionError("a memoized count was computed again")
 
-    for name in ("_count_recurrence", "_count_convolution"):
-        monkeypatch.setattr(spectrum, name, fails)
-    weyl = spectrum._work(space, halves) + spectrum._work(sphere, halves)
-    remainder, top = spectrum._work(space, halves), spectrum._work(space, [200])
+    kernel = spectrum._kernel
+    monkeypatch.setattr(spectrum, "_kernel", lambda space: kernel(space)._replace(prefix=fails))
+    weyl = kernel(space).count_work(halves) + kernel(sphere).count_work(halves)
+    remainder, top = kernel(space).count_work(halves), kernel(space).count_work([200])
     with pytest.raises(ResourceLimit):
         weyl_ratio_series(space, 400, 40, budget=weyl - 1)
     with pytest.raises(ResourceLimit):
