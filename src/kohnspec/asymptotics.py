@@ -18,8 +18,8 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from .core import (
-    DEFAULT_BUDGET, LensSpace, NonConvergence, UnsupportedDimension, charge, check_dimension,
-    make_lens_space,
+    DEFAULT_BUDGET, LensSpace, NonConvergence, UnsupportedDimension, charge, check_cutoff,
+    check_dimension, make_lens_space,
 )
 from .spectrum import _counts, _sum_lines, lens_counting
 
@@ -79,11 +79,13 @@ def weyl_ratio_series(
 ) -> list[RatioSample]:
     """Exact N_L/N ratio samples at lam = stride, 2*stride, ..., lambda_max.
 
-    The budget (None: unbounded) caps the work of both series' counts
-    together; exceeding it raises ResourceLimit before any is done.
+    A negative lambda_max raises ValueError (`check_cutoff`).  The budget
+    (None: unbounded) caps the work of both series' counts together;
+    exceeding it raises ResourceLimit before any is done.
     """
     if stride < 2 or stride % 2 != 0:
         raise ValueError("stride must be a positive even integer")
+    check_cutoff(lambda_max)
     lams = range(stride, lambda_max + 1, stride)
     # Each cutoff >= 2 costs a space 3 line evaluations at least: charged before any is listed.
     charge(6 * len(lams), budget)
@@ -261,9 +263,11 @@ def lemma_ratio_decay(n: int, lambda_list: list[int]) -> list[Fraction]:
     half-eigenvalue cutoff; B sums the full dimension terms, so it is the
     sphere count at twice the cutoff.  A is summed line by line, each line
     in closed form by the hockey-stick identity sum_(j<=m) C(j, r) = C(m+1, r+1).
-    B's counts are charged against the default budget (`ResourceLimit`).
+    A negative cutoff raises ValueError (`check_cutoff`); B's counts are
+    charged against the default budget (`ResourceLimit`).
     """
     check_dimension(n)
+    check_cutoff(min(lambda_list, default=0))
 
     sphere = make_lens_space(n, 1, [1] * n)
     (b_sums,) = _counts([sphere], [2 * h for h in lambda_list], DEFAULT_BUDGET)

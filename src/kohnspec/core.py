@@ -1,4 +1,11 @@
-"""Shared domain types: lens-space parameters, validation, text format."""
+"""Shared domain types: lens-space parameters, validation, text format.
+
+Each input rule is decided here once, with one message: n >= 2
+(`check_dimension`), n = 2 (`check_n2`), k >= 2 (`check_order`), a
+nonnegative cutoff (`check_cutoff`) and bidegree (`check_bidegree`), and a
+positive even eigenvalue (`check_eigenvalue`).  So is the congruence gcd
+(`_congruence_gcd`), which at n = 2 is the paper's d (`gcd_invariant`).
+"""
 from __future__ import annotations
 
 import math
@@ -51,8 +58,26 @@ def check_bidegree(p: int, q: int) -> None:
         raise ValueError("bidegree components must be nonnegative")
 
 
+def check_cutoff(value: int) -> None:
+    """Reject a negative eigenvalue cutoff (a table's, a count's or a series')."""
+    if value < 0:
+        raise ValueError(f"cutoff must be nonnegative, got {value}")
+
+
+def check_order(k: int) -> None:
+    """Reject a group order k below 2 given without a space (C^lam, classes, probes)."""
+    if k < 2:
+        raise InvalidOrder(f"group order must be >= 2, got {k}")
+
+
 class InvalidEigenvalue(KohnSpecError):
     """Eigenvalues of the Kohn Laplacian are positive even integers."""
+
+
+def check_eigenvalue(lam: int) -> None:
+    """Reject an eigenvalue that is not positive and even."""
+    if lam < 2 or lam % 2 != 0:
+        raise InvalidEigenvalue(f"eigenvalues are positive even integers, got {lam}")
 
 
 class MismatchedSpaces(KohnSpecError):
@@ -107,15 +132,30 @@ def make_lens_space(n: int, k: int, weights) -> LensSpace:
     return LensSpace(n=n, k=k, weights=tuple(w % k for w in ws))
 
 
+def check_n2(space: LensSpace) -> None:
+    """Reject a space that is not a 3-d lens space (n = 2)."""
+    if space.n != 2:
+        raise UnsupportedDimension(f"dimension parameter must be 2, got {space.n}")
+
+
+def _congruence_gcd(space: LensSpace) -> int:
+    """g = gcd(k, l_2 - l_1, ..., l_n - l_1): dim(p, q) = N(p, q) = 0 unless g | p - q.
+
+    Each l_i = l_1 mod g, so sum l_i (alpha_i - beta_i) = l_1 (p - q) mod g.
+    An invariant monomial makes that 0 mod k, hence mod g, as g | k, and
+    l_1 is a unit, so g | p - q.  For n = 2, g is `gcd_invariant`.
+    """
+    return math.gcd(space.k, *(l - space.weights[0] for l in space.weights))
+
+
 def gcd_invariant(space: LensSpace) -> int:
     """gcd(k, l_1 - l_2), the basic congruence invariant of a 3-d lens space.
 
-    Only defined for n = 2.  Uses the convention gcd(k, 0) = k, so equal
-    weights give the full group order.
+    Only defined for n = 2 (`check_n2`).  Uses the convention gcd(k, 0) = k,
+    so equal weights give the full group order.
     """
-    if space.n != 2:
-        raise UnsupportedDimension(f"gcd invariant needs n = 2, got n={space.n}")
-    return math.gcd(space.k, space.weights[0] - space.weights[1])
+    check_n2(space)
+    return _congruence_gcd(space)
 
 
 def parse_lens_spec(text: str) -> LensSpace:

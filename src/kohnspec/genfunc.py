@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import accumulate, product, repeat
 from operator import mul
 
-from .core import DomainViolation, InsufficientSamples, InvalidOrder, LensSpace
+from .core import DomainViolation, InsufficientSamples, LensSpace, check_cutoff, check_order
 from .invariant import dim_grid
 
 MODULUS_BOUND = 0.9
@@ -69,9 +69,11 @@ def genfunc_series(space: LensSpace, z: complex, w: complex, cutoff: int) -> com
     As 0 <= dim H^G <= dim H, at |z|, |w| <= r the dropped tail is at most
     (1 - r^2)/(1 - r)^(2n), the sphere's whole sum, minus its sum over
     p, q <= cutoff: at cutoff 60, below 1e-10 for n <= 5 at `DISK_RADIUS`,
-    but 25.8 for n = 2 at |z| = |w| = 0.9.
+    but 25.8 for n = 2 at |z| = |w| = 0.9.  A negative cutoff raises
+    ValueError (`check_cutoff`), here and so in `max_deviation`.
     """
     _check_point(z, w)
+    check_cutoff(cutoff)
     w_powers = [*accumulate(repeat(w, cutoff), mul, initial=1 + 0j)]
     rows = (sum(map(mul, dims, w_powers), 0j) for dims in _series_grid(space, cutoff))
     return sum(map(mul, accumulate(repeat(z, cutoff), mul, initial=1 + 0j), rows), 0j)
@@ -95,10 +97,9 @@ def independence_probe(k: int, sample_points) -> int:
     The functions are 1/((z - zeta^l)(w - zeta^-l)(z - zeta^m)(w - zeta^-m))
     for 0 <= l <= m <= k-1; full rank k(k+1)/2 reflects their linear
     independence.  Rank counts the pivots of a full-pivoting elimination
-    above 1e-8 of the first (largest) one.
+    above 1e-8 of the first (largest) one.  k < 2 raises InvalidOrder.
     """
-    if k < 2:
-        raise InvalidOrder(f"independence probe needs k >= 2, got {k}")
+    check_order(k)
     points = list(sample_points)
     expected = k * (k + 1) // 2
     if len(points) < expected:

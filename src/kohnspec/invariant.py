@@ -25,17 +25,11 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import chain, pairwise, repeat
-from math import comb, gcd
+from math import comb
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterator, NamedTuple
 
-from .core import (
-    DEFAULT_BUDGET,
-    LensSpace,
-    UnsupportedDimension,
-    charge,
-    check_bidegree,
-)
+from .core import DEFAULT_BUDGET, LensSpace, _congruence_gcd, charge, check_bidegree, check_n2
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -121,16 +115,6 @@ def exponent_profile(space: LensSpace, degree: int) -> tuple[int, ...]:
     return _profile_rows(space.weights, space.k)(degree)
 
 
-def _congruence_gcd(space: LensSpace) -> int:
-    """g = gcd(k, l_2 - l_1, ..., l_n - l_1): dim(p, q) = N(p, q) = 0 unless g | p - q.
-
-    Each l_i = l_1 mod g, so sum l_i (alpha_i - beta_i) = l_1 (p - q) mod g.
-    An invariant monomial makes that 0 mod k, hence mod g, as g | k, and
-    l_1 is a unit, so g | p - q.  For n = 2, g is `gcd_invariant`.
-    """
-    return gcd(space.k, *(l - space.weights[0] for l in space.weights))
-
-
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """Number of cross pairs of two profile rows with equal residues."""
     return sum(map(mul, a, b))
@@ -201,9 +185,8 @@ def _closed_form(space: LensSpace) -> Callable[[int, int], int]:
 
 
 def mn_counts(space: LensSpace, p: int, q: int) -> MNCounts:
-    """Count the two congruence branches separately (n = 2 only), in O(1)."""
-    if space.n != 2:
-        raise UnsupportedDimension(f"mn_counts needs n = 2, got n={space.n}")
+    """Count the two congruence branches separately (n = 2 only, `check_n2`), in O(1)."""
+    check_n2(space)
     check_bidegree(p, q)
     s, solve = _solution(space)
     a = solve(p - q)
@@ -223,8 +206,7 @@ def base_dim_table(space: LensSpace) -> tuple[tuple[int, ...], ...]:
     fingerprint of a 3-d lens space.  It is `dim_grid` of size k - 1,
     O(k^2); the last few tables are cached.
     """
-    if space.n != 2:
-        raise UnsupportedDimension(f"base table needs n = 2, got n={space.n}")
+    check_n2(space)
     return dim_grid(space, space.k - 1)
 
 
@@ -238,8 +220,7 @@ def dim_invariant_recurrence(
     `_grid_work`, k^2, is charged against the budget, even when cached;
     over it raises ResourceLimit before the fill.
     """
-    if space.n != 2:
-        raise UnsupportedDimension(f"recurrence needs n = 2, got n={space.n}")
+    check_n2(space)
     check_bidegree(p, q)
     charge(_grid_work(space, space.k - 1), budget)
     k, d = space.k, _congruence_gcd(space)

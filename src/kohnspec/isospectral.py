@@ -15,18 +15,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import (
-    DEFAULT_BUDGET,
-    InvalidOrder,
-    LensSpace,
-    MismatchedSpaces,
-    UnsupportedDimension,
-    charge,
-    gcd_invariant,
-)
-from .invariant import _grid_work, dim_grid
-from .spectrum import (_bidegrees_for, _charge_sieves, _check_cutoff, _check_eigenvalue,
-                       multiplicity_table)
+from .core import (DEFAULT_BUDGET, LensSpace, MismatchedSpaces, charge, check_cutoff,
+                   check_eigenvalue, check_n2, check_order, gcd_invariant)
+from .invariant import _grid_work, base_dim_table, dim_grid
+from .spectrum import _bidegrees_for, _charge_sieves, multiplicity_table
 
 
 class IsometryWitness(NamedTuple):
@@ -106,7 +98,7 @@ def _compare_spectra(
     """
     if space.n != other.n:
         raise MismatchedSpaces("spectral comparison needs equal n")
-    _check_cutoff(lambda_max)
+    check_cutoff(lambda_max)
     witness = condition4_witness(space, other) if space.k == other.k else None
     if witness is not None:
         return witness, True
@@ -125,19 +117,21 @@ def dims_equal(space: LensSpace, other: LensSpace) -> bool:
 
     The dimensions on the box p, q <= size decide.  For n = 2, size k - 1:
     the shift reduction fixes every dimension from the k x k base table and
-    d, and the table fixes d (`base_dim_table`).  For n >= 3, size nk - 1:
-    profile row e + ck is a polynomial of degree < n in c, so on each
-    residue class of (p, q) mod k, N(p, q) is a polynomial of degree < n in
-    floor(p/k) and in floor(q/k), fixed by its values at p, q < nk, where
-    dim(p, q) = N(p, q) - N(p-1, q-1) fixes N.  Charged against
-    `DEFAULT_BUDGET` before any grid is built: each space's `_grid_work`,
-    k^2 at n = 2, else k per dot product taken (about 1/g of the cells)
-    plus nk profile rows.
+    d, and the table fixes d: the cached `base_dim_table`s are compared.
+    For n >= 3, size nk - 1: profile row e + ck is a polynomial of degree
+    < n in c, so on each residue class of (p, q) mod k, N(p, q) is a
+    polynomial of degree < n in floor(p/k) and in floor(q/k), fixed by its
+    values at p, q < nk, where dim(p, q) = N(p, q) - N(p-1, q-1) fixes N.
+    Charged against `DEFAULT_BUDGET` before any grid is built, cached or
+    not: each space's `_grid_work`, k^2 at n = 2, else k per dot product
+    taken (about 1/g of the cells) plus nk profile rows.
     """
     _check_comparable(space, other)
     n, k = space.n, space.k
     size = k - 1 if n == 2 else n * k - 1
     charge(_grid_work(space, size) + _grid_work(other, size), DEFAULT_BUDGET)
+    if n == 2:
+        return base_dim_table(space) == base_dim_table(other)
     return dim_grid(space, size) == dim_grid(other, size)
 
 
@@ -146,12 +140,12 @@ def d_invariant_check(space: LensSpace, other: LensSpace) -> bool:
 
     Spectrally equal 3-d lens spaces share d (with the d=2/d'=4 pairing
     left open), so unequal d certifies distinct spectra in all other
-    cases; equal d decides nothing.
+    cases; equal d decides nothing.  Either space at n != 2 raises
+    UnsupportedDimension (`check_n2`), and unequal k MismatchedSpaces.
     """
-    if space.n != 2 or other.n != 2:
-        raise UnsupportedDimension("d-invariant comparison needs n = 2")
-    if space.k != other.k:
-        raise MismatchedSpaces("d-invariant comparison needs equal k")
+    check_n2(space)
+    check_n2(other)
+    _check_comparable(space, other)
     return gcd_invariant(space) == gcd_invariant(other)
 
 
@@ -173,12 +167,6 @@ class CMatrix(NamedTuple):
         return [list(row) for row in self.entries]
 
 
-def _check_order(k: int) -> None:
-    """Reject an order k < 2."""
-    if k < 2:
-        raise InvalidOrder(f"residue-count matrix needs k >= 2, got {k}")
-
-
 def _residue_counts(k: int, lam: int) -> dict[int, int]:
     """The nonzero entries of C^lam, keyed by (p mod k) k + (q mod k).
 
@@ -195,10 +183,10 @@ def c_matrix(k: int, lam: int, budget: int | None = DEFAULT_BUDGET) -> CMatrix:
     """Build C^lam densely from its residue counts.
 
     Charged k^2 entries plus isqrt(lam/2) trial divisions before the
-    matrix is allocated.
+    matrix is allocated.  k < 2 raises InvalidOrder (`check_order`).
     """
-    _check_order(k)
-    _check_eigenvalue(lam)
+    check_order(k)
+    check_eigenvalue(lam)
     charge(k * k + math.isqrt(lam // 2), budget)
     entries = [[0] * k for _ in range(k)]
     for cell, count in _residue_counts(k, lam).items():
@@ -284,12 +272,12 @@ def span_dimension(k: int, lambdas, budget: int | None = DEFAULT_BUDGET) -> int:
     work, whether or not the elimination stops early.  The pricing pass
     stops at the first eigenvalue that takes the work past the budget, so
     it keeps at most budget / 4 of them.  An order k < 2 raises
-    InvalidOrder, also when there is no eigenvalue.
+    InvalidOrder (`check_order`), also when there is no eigenvalue.
     """
-    _check_order(k)
+    check_order(k)
     kept, work = [], 0
     for lam in lambdas:
-        _check_eigenvalue(lam)
+        check_eigenvalue(lam)
         kept.append(lam)
         work += _SPAN_UNIT * math.isqrt(lam // 2)
         if budget is not None and work > budget:
@@ -321,10 +309,9 @@ def classify_all(
     (1, min(r, 1/r)), values the members in ascending order, and classes
     come by ascending representative.  The phi(k)^2 pairs are charged
     before any unit is listed; as phi(k)^2 >= k/2, k // 2 is charged first,
-    which bounds the factoring.
+    which bounds the factoring.  k < 2 raises InvalidOrder (`check_order`).
     """
-    if k < 2:
-        raise InvalidOrder(f"classification needs k >= 2, got {k}")
+    check_order(k)
     charge(k // 2, budget)
     charge(_totient(k) ** 2, budget)
     units = [a for a in range(1, k) if math.gcd(a, k) == 1]

@@ -31,13 +31,9 @@ from math import isqrt
 from operator import add
 from typing import Callable, NamedTuple
 
-from .core import (
-    DEFAULT_BUDGET,
-    InvalidEigenvalue,
-    LensSpace,
-    charge,
-)
-from .invariant import (_congruence_gcd, _dot, _grid_work, _profile_rows, _profile_work,
+from .core import (DEFAULT_BUDGET, LensSpace, _congruence_gcd, charge, check_cutoff,
+                   check_eigenvalue)
+from .invariant import (_dot, _grid_work, _profile_rows, _profile_work,
                         base_dim_table, dim_cell)
 
 
@@ -84,18 +80,12 @@ def _bidegrees_for(lam: int, n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _check_eigenvalue(lam: int) -> None:
-    """Reject an eigenvalue that is not positive and even."""
-    if lam < 2 or lam % 2 != 0:
-        raise InvalidEigenvalue(f"eigenvalues are positive even integers, got {lam}")
-
-
 def _contributors(space: LensSpace, lam: int):
     """Yield (p, q, dim) for the bidegrees of lam with positive dimension.
 
     Its isqrt(lam/2) trial divisions are charged first, as in `c_matrix`.
     """
-    _check_eigenvalue(lam)
+    check_eigenvalue(lam)
     charge(isqrt(lam // 2), DEFAULT_BUDGET)
     dim = dim_cell(space)
     for p, q in _bidegrees_for(lam, space.n):
@@ -108,15 +98,9 @@ def multiplicity(space: LensSpace, lam: int) -> int:
     return sum(d for _, _, d in _contributors(space, lam))
 
 
-def _check_cutoff(lambda_max: int) -> None:
-    """Reject a negative table cutoff."""
-    if lambda_max < 0:
-        raise ValueError("lambda_max must be nonnegative")
-
-
 def _charge_sieves(spaces, lambda_max: int, budget: int | None) -> None:
     """Charge the `_sieve`s of `spaces` to lambda_max, before any runs; None: no charge."""
-    _check_cutoff(lambda_max)
+    check_cutoff(lambda_max)
     if budget is None:
         return
     # Each costs lam/2 at least (n = 2: the row q = 1 holds lam/2 cells; n >= 3:
@@ -308,8 +292,9 @@ def build_spectrum(
 ) -> SpectrumTable:
     """Assemble the eigenvalue table for all even eigenvalues <= lambda_max.
 
-    Work over `budget`, as the kernel's `sieve_work` prices it, raises
-    ResourceLimit before any table is built.
+    A negative lambda_max raises ValueError (`check_cutoff`); work over
+    `budget`, as the kernel's `sieve_work` prices it, raises ResourceLimit
+    before any table is built.
     """
     return SpectrumTable(space, lambda_max, multiplicity_table(space, lambda_max, budget))
 
@@ -319,7 +304,7 @@ def multiplicity_table(
 ) -> dict[int, int]:
     """Map of eigenvalue -> multiplicity (positive entries only).
 
-    Charged as `build_spectrum`; over budget raises ResourceLimit first.
+    Checked and charged as `build_spectrum`, before any table is built.
     """
     _charge_sieves([space], lambda_max, budget)
     return _sieve(space, lambda_max)
@@ -330,13 +315,14 @@ def lens_counting(
 ) -> int:
     """Number of positive eigenvalues <= lam on the lens space, with multiplicity.
 
-    The one-cutoff case of `_counts`.  Over budget raises ResourceLimit.
+    The one-cutoff case of `_counts`: a negative lam raises ValueError, and
+    work over budget ResourceLimit.
     """
     return _counts([space], [lam], budget)[0][0]
 
 
 def _counts(spaces, lams, budget: int | None) -> list[list[int]]:
-    """N_L at each cutoff in `lams`, one list per space.
+    """N_L at each cutoff in `lams`, one list per space; a negative one raises ValueError.
 
     All the work (each kernel's `count_work`) is charged first, memoized
     cutoffs too, so the verdict does not depend on cache state; over
@@ -344,8 +330,7 @@ def _counts(spaces, lams, budget: int | None) -> list[list[int]]:
     distinct half-cutoffs missing from its `_count_memo` are summed by
     `_sum_lines` with one kernel `prefix`, whose setup serves them all.
     """
-    if any(lam < 0 for lam in lams):
-        raise ValueError("eigenvalue cutoff must be nonnegative")
+    check_cutoff(min(lams, default=0))
     halves = [lam // 2 for lam in lams]
     kernels = [_kernel(space) for space in spaces]
     charge(sum(kernel.count_work(halves) for kernel in kernels), budget)

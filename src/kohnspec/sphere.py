@@ -13,7 +13,7 @@ from functools import partial
 from itertools import product, starmap
 from math import comb
 
-from .core import check_bidegree, check_dimension
+from .core import check_bidegree, check_cutoff, check_dimension
 
 
 def dim_hpq(n: int, p: int, q: int) -> int:
@@ -64,9 +64,9 @@ def sphere_counting(n: int, lam: int) -> int:
     """Number of positive eigenvalues <= lam on S^(2n-1), with multiplicity.
 
     Sums dim_hpq over p and the admissible q-range 1 <= q <= lam/(2(p+n-1)),
-    mirroring the double sum the asymptotic analysis manipulates.
+    mirroring the double sum the asymptotic analysis manipulates.  A
+    negative lam raises ValueError (`check_cutoff`).
     """
     check_dimension(n)
-    if lam < 0:
-        raise ValueError("eigenvalue cutoff must be nonnegative")
+    check_cutoff(lam)
     return _fold(n, lam, partial(dim_hpq, n))

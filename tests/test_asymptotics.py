@@ -333,6 +333,14 @@ def test_weyl_ratio_stride_validation():
         weyl_ratio_series(SPHERE3, 100, 3)
 
 
+def test_weyl_ratio_refuses_a_negative_cutoff():
+    # A negative cutoff lists no sample, so without the check it read as an empty sweep.
+    space = make_lens_space(2, 5, [1, 2])
+    with pytest.raises(ValueError, match=r"^cutoff must be nonnegative, got -10$"):
+        weyl_ratio_series(space, -10, 2)
+    assert weyl_ratio_series(space, 0, 2) == []
+
+
 def test_weyl_constant_experiment_sphere():
     empirical, predicted = weyl_constant_experiment(SPHERE3, 2000)
     assert abs(predicted - math.pi**2 / 24.0) < 1e-8

@@ -265,7 +265,17 @@ def test_span_rejects_an_order_below_2(capsys):
     for k in ("0", "-7", "1"):
         code, out, err = run(capsys, "span", "--k", k, "--lambda-max", "0")
         assert code == 2 and out == ""
-        assert f"needs k >= 2, got {k}" in err
+        assert f"group order must be >= 2, got {k}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["classify", "--k", "1"], "group order must be >= 2, got 1", id="classify"),
+    pytest.param(["dim", "--lens", "7:1,2,3", "--p", "1", "--q", "1", "--method", "recurrence"],
+                 "dimension parameter must be 2, got 3", id="dim-recurrence"),
+])
+def test_refusals_print_the_rule_and_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_span_flags_deficient_prime_rank(capsys):

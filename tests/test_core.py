@@ -3,7 +3,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from kohnspec.asymptotics import lemma_ratio_decay, remainder_experiment, universal_constant
+from kohnspec.asymptotics import (
+    lemma_ratio_decay,
+    remainder_experiment,
+    universal_constant,
+    weyl_ratio_series,
+)
 from kohnspec.core import (
     DimensionTooSmall,
     InvalidOrder,
@@ -16,9 +21,17 @@ from kohnspec.core import (
     make_lens_space,
     parse_lens_spec,
 )
-from kohnspec.genfunc import independence_probe
-from kohnspec.invariant import base_dim_table
-from kohnspec.isospectral import spectra_equal_up_to, t_apply
+from kohnspec.genfunc import genfunc_series, independence_probe, max_deviation
+from kohnspec.invariant import base_dim_table, dim_invariant_recurrence, mn_counts
+from kohnspec.isospectral import (
+    c_matrix,
+    classify_all,
+    d_invariant_check,
+    span_dimension,
+    spectra_equal_up_to,
+    t_apply,
+)
+from kohnspec.spectrum import lens_counting, multiplicity_table
 from kohnspec.sphere import dim_hpq, eigenvalue, sphere_counting
 
 
@@ -129,16 +142,70 @@ def test_every_entry_point_refuses_n_below_2(call, args):
     for call, args, error, message in [
         (remainder_experiment, (make_lens_space(2, 5, [1, 2]), 3, 2), ValueError,
          "lambda_max must be at least 2*samples"),
-        (independence_probe, (1, []), InvalidOrder, "independence probe needs k >= 2, got 1"),
+        (independence_probe, (1, []), InvalidOrder, "group order must be >= 2, got 1"),
         (base_dim_table, (make_lens_space(3, 5, [1, 2, 3]),), UnsupportedDimension,
-         "base table needs n = 2, got n=3"),
+         "dimension parameter must be 2, got 3"),
         (spectra_equal_up_to, (make_lens_space(2, 5, [1, 2]), make_lens_space(3, 5, [1, 2, 3]),
                                10), MismatchedSpaces, "spectral comparison needs equal n"),
         (t_apply, ([[1, 2]],), ValueError, "matrix must be square"),
-        (sphere_counting, (2, -2), ValueError, "eigenvalue cutoff must be nonnegative"),
+        (sphere_counting, (2, -2), ValueError, "cutoff must be nonnegative, got -2"),
     ]
 ])
 def test_refusals(call, args, error, message):
     with pytest.raises(error) as info:
         call(*args)
     assert type(info.value) is error and str(info.value) == message
+
+
+# One rule, one message: each is decided in core and every entry point calls it.
+L5 = make_lens_space(2, 5, [1, 2])
+L5_3D = make_lens_space(3, 5, [1, 2, 3])
+
+
+@pytest.mark.parametrize("call, args", [
+    pytest.param(call, args, id=call.__name__) for call, args in [
+        (lens_counting, (L5, -2)),
+        (multiplicity_table, (L5, -2)),
+        (spectra_equal_up_to, (L5, make_lens_space(2, 5, [1, 3]), -2)),
+        (sphere_counting, (2, -2)),
+        (lemma_ratio_decay, (2, [4, -2])),
+        (weyl_ratio_series, (L5, -2, 2)),
+        (genfunc_series, (L5, 0.1, 0.1, -2)),
+        (max_deviation, (L5, [(0.1, 0.1)], -2)),
+    ]
+])
+def test_every_entry_point_refuses_a_negative_cutoff(call, args):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "cutoff must be nonnegative, got -2"
+
+
+@pytest.mark.parametrize("call, args", [
+    pytest.param(call, args, id=call.__name__) for call, args in [
+        (c_matrix, (1, 2)),
+        (span_dimension, (1, [])),
+        (classify_all, (1,)),
+        (independence_probe, (1, [])),
+    ]
+])
+def test_every_entry_point_refuses_an_order_below_2(call, args):
+    with pytest.raises(InvalidOrder) as info:
+        call(*args)
+    assert str(info.value) == "group order must be >= 2, got 1"
+
+
+@pytest.mark.parametrize("call, args", [
+    pytest.param(call, args, id=id_) for id_, call, args in [
+        ("gcd_invariant", gcd_invariant, (L5_3D,)),
+        ("mn_counts", mn_counts, (L5_3D, 1, 1)),
+        ("base_dim_table", base_dim_table, (L5_3D,)),
+        ("dim_invariant_recurrence", dim_invariant_recurrence, (L5_3D, 1, 1)),
+        ("d_invariant_check-first", d_invariant_check, (L5_3D, L5)),
+        ("d_invariant_check-second", d_invariant_check, (L5, L5_3D)),
+    ]
+])
+def test_every_entry_point_refuses_n_other_than_2(call, args):
+    with pytest.raises(UnsupportedDimension) as info:
+        call(*args)
+    assert str(info.value) == "dimension parameter must be 2, got 3"

@@ -144,3 +144,12 @@ def test_unit_disk_points_deterministic_and_bounded():
 def test_max_deviation_small_for_matching_space():
     space = make_lens_space(2, 4, [1, 3])
     assert max_deviation(space, unit_disk_points(10, seed=5), 60) < 1e-9
+
+
+def test_series_refuses_a_negative_cutoff():
+    # A negative cutoff summed no term: the series read 0 and the deviation |closed form|.
+    space = make_lens_space(2, 5, [1, 2])
+    for call, args in ((genfunc_series, (0.1, 0.1)), (max_deviation, ([(0.1, 0.1)],))):
+        with pytest.raises(ValueError, match=r"^cutoff must be nonnegative, got -3$"):
+            call(space, *args, -3)
+    assert genfunc_series(space, 0.1, 0.1, 0) == 1  # dim H^G_(0,0) = 1

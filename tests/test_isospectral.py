@@ -233,6 +233,24 @@ def test_dims_equal_examples():
     assert dims_equal(space, space)
 
 
+@pytest.mark.usefixtures("cold_caches")
+def test_n2_dims_equal_reads_the_cached_base_tables(monkeypatch):
+    from kohnspec import invariant, isospectral
+
+    built = []
+
+    def dim_grid(space, size):
+        built.append((space, size))
+        return grid(space, size)
+
+    grid = invariant.dim_grid
+    monkeypatch.setattr(invariant, "dim_grid", dim_grid)
+    monkeypatch.setattr(isospectral, "dim_grid", dim_grid)
+    first, second = make_lens_space(2, 7, [1, 2]), make_lens_space(2, 7, [1, 3])
+    assert [dims_equal(first, second) for _ in range(2)] == [False, False]
+    assert built == [(first, 6), (second, 6)]
+
+
 def test_dims_equal_grid_path_detects_difference():
     first = make_lens_space(3, 7, [1, 1, 1])
     second = make_lens_space(3, 7, [1, 2, 3])
