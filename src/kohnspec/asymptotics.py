@@ -116,7 +116,10 @@ def _weyl_integrand(n: int) -> Callable[[float], float]:
         exponent = n * log_ratio - shift * x
         if exponent < -745.0:
             return 0.0
-        return exp(exponent)
+        try:
+            return exp(exponent)
+        except OverflowError:  # n >= 176 at x = -50: e^(4.6n - 100) is past a float.
+            raise NonConvergence(f"Weyl integrand overflows a float at n={n}, x={x}") from None
 
     return f
 
@@ -154,16 +157,36 @@ def _adaptive_simpson(
 _TRUNCATION, _TOLERANCE, _MAX_REFINEMENTS = 50.0, 1e-10, 48
 
 
+# u_2 ... u_8 as the adaptive Simpson above returns them, bit for bit (the test
+# suite re-derives each one): `bench/digests.json` pins `remainder`'s last digits.
+_SIMPSON_U = {
+    2: float.fromhex("0x1.5555555555851p-6"),
+    3: float.fromhex("0x1.21bb945252689p-9"),
+    4: float.fromhex("0x1.4061b2c170322p-12"),
+    5: float.fromhex("0x1.82ec3ae2810f6p-15"),
+    6: float.fromhex("0x1.e450914c08a7ap-18"),
+    7: float.fromhex("0x1.33d3574687608p-20"),
+    8: float.fromhex("0x1.89de3f60bb7d4p-23"),
+}
+
+
 @cache
 def universal_constant(n: int) -> float:
     """The dimension-dependent constant of the Weyl asymptotic.
 
     (n-1) / (n (2 pi)^n Gamma(n+1)) times the integral over the real line
-    of (x/sinh x)^n e^{-(n-2)x}, computed by adaptive Simpson on the
-    truncated interval [-T, T].  For n = 2 the closed form is 1/48.
+    of (x/sinh x)^n e^{-(n-2)x}, by adaptive Simpson on the truncated
+    interval [-T, T].  The result depends on n alone, so for n <= 8 it is
+    read from `_SIMPSON_U`, the quadrature's own floats, instead of being
+    recomputed in every process; the table keeps `remainder`'s digits.
+    For n >= 9 the quadrature runs (today it raises NonConvergence at
+    n = 9 and 10, which a table cannot express).  For n = 2 the closed
+    form is 1/48.
     Memoized per n; a raised NonConvergence is not, so it is raised again.
     """
     check_dimension(n)
+    if n in _SIMPSON_U:
+        return _SIMPSON_U[n]
     integral = _adaptive_simpson(
         _weyl_integrand(n), -_TRUNCATION, _TRUNCATION, _TOLERANCE, _MAX_REFINEMENTS
     )

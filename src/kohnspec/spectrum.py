@@ -32,7 +32,7 @@ from operator import add
 from typing import Callable, NamedTuple
 
 from .core import (DEFAULT_BUDGET, LensSpace, _congruence_gcd, charge, check_cutoff,
-                   check_eigenvalue)
+                   check_dimension, check_eigenvalue)
 from .invariant import (_dot, _grid_work, _profile_rows, _profile_work,
                         base_dim_table, dim_cell)
 
@@ -375,7 +375,12 @@ def _lines(half: int, n: int):
 
 
 def counting_grid_size(n: int, lam: int) -> int:
-    """Number of (p, q) pairs the counting function sums over at cutoff lam."""
+    """Number of (p, q) pairs the counting function sums over at cutoff lam.
+
+    n below 2 raises DimensionTooSmall and a negative lam ValueError.
+    """
+    check_dimension(n)
+    check_cutoff(lam)
     return _sum_lines(lam // 2, n, lambda f, x: x)
 
 

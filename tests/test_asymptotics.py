@@ -17,6 +17,9 @@ from kohnspec.asymptotics import (
     universal_constant,
     weyl_constant_experiment,
     weyl_ratio_series,
+    _MAX_REFINEMENTS,
+    _TOLERANCE,
+    _TRUNCATION,
     _adaptive_simpson,
     _weyl_integrand,
 )
@@ -59,10 +62,14 @@ def test_universal_constant_is_memoized_per_n_until_cleared(monkeypatch):
     monkeypatch.setattr(asymptotics, "_adaptive_simpson",
                         lambda *args: calls.append(args[0]) or quad(*args))
     clear_caches()
-    first = universal_constant(2)
-    assert universal_constant(2) == first and len(calls) == 1
+    first = [universal_constant(n) for n in range(2, 9)]
+    assert [universal_constant(n) for n in range(2, 9)] == first
+    assert universal_constant.cache_info().currsize == 7
+    remainder_experiment(make_lens_space(8, 3, [1] * 8), 24, 1)
     clear_caches()
-    assert universal_constant(2) == first and len(calls) == 2
+    assert universal_constant.cache_info().currsize == 0
+    assert [universal_constant(n) for n in range(2, 9)] == first
+    assert calls == []
 
 
 def test_universal_constant_does_not_memoize_a_failure(monkeypatch):
@@ -71,13 +78,16 @@ def test_universal_constant_does_not_memoize_a_failure(monkeypatch):
     def fails(*args):
         raise NonConvergence("refinement limit reached")
 
-    quad = asymptotics._adaptive_simpson
+    # n = 9 is the first n that runs the quadrature.
     clear_caches()
     monkeypatch.setattr(asymptotics, "_adaptive_simpson", fails)
     with pytest.raises(NonConvergence):
-        universal_constant(3)
-    monkeypatch.setattr(asymptotics, "_adaptive_simpson", quad)
-    assert abs(universal_constant(3) * 144 * math.pi - 1) < 1e-12
+        universal_constant(9)
+    monkeypatch.setattr(asymptotics, "_adaptive_simpson", lambda *args: 1.0)
+    try:
+        assert universal_constant(9) == 8 / (9 * (2.0 * math.pi) ** 9 * math.factorial(9))
+    finally:
+        clear_caches()
 
 
 def test_quadrature_refinement_limit():
@@ -128,12 +138,14 @@ def test_quadrature_is_bit_identical_to_the_three_point_form(n, tol, max_depth):
         _reference_simpson, n, tol, max_depth)
 
 
+# u_2 ... u_8: `bench/digests.json` pins the last digits of `remainder`, so these may not move.
+PINNED_U = ["0x1.5555555555851p-6", "0x1.21bb945252689p-9", "0x1.4061b2c170322p-12",
+            "0x1.82ec3ae2810f6p-15", "0x1.e450914c08a7ap-18", "0x1.33d3574687608p-20",
+            "0x1.89de3f60bb7d4p-23"]
+
+
 def test_universal_constant_bits_and_failures_are_pinned():
-    # `bench/digests.json` pins the last digits of `remainder`, so these may not move.
-    pinned = ["0x1.5555555555851p-6", "0x1.21bb945252689p-9", "0x1.4061b2c170322p-12",
-              "0x1.82ec3ae2810f6p-15", "0x1.e450914c08a7ap-18", "0x1.33d3574687608p-20",
-              "0x1.89de3f60bb7d4p-23"]
-    assert [universal_constant(n).hex() for n in range(2, 9)] == pinned
+    assert [universal_constant(n).hex() for n in range(2, 9)] == PINNED_U
     for n, message in [
         (9, "[-7.884061896610817, -7.884061896610461] with error 5.377e-24"),
         (10, "[-11.473652238527166, -11.47365223852681] with error 1.303e-23"),
@@ -143,22 +155,78 @@ def test_universal_constant_bits_and_failures_are_pinned():
         assert str(excinfo.value) == "refinement limit reached on " + message
 
 
-def test_quadrature_evaluates_each_node_once(monkeypatch):
+def test_quadrature_evaluates_each_node_once():
+    for n, evaluations in [(2, 3249), (8, 26913)]:
+        f, calls = _weyl_integrand(n), []
+        _adaptive_simpson(lambda x: calls.append(x) or f(x),
+                          -_TRUNCATION, _TRUNCATION, _TOLERANCE, _MAX_REFINEMENTS)
+        assert len(calls) == evaluations
+
+
+def test_the_table_is_the_quadrature_bits(monkeypatch):
     from kohnspec import asymptotics, clear_caches
 
-    calls = []
-
-    def counted(n):
-        f = _weyl_integrand(n)
-        return lambda x: calls.append(x) or f(x)
-
-    monkeypatch.setattr(asymptotics, "_weyl_integrand", counted)
-    for n, evaluations in [(2, 3249), (8, 26913)]:
-        clear_caches()
-        calls.clear()
-        universal_constant(n)
-        assert len(calls) == evaluations
+    table = [asymptotics._SIMPSON_U[n].hex() for n in range(2, 9)]
     clear_caches()
+    monkeypatch.setattr(asymptotics, "_SIMPSON_U", {})  # Every n takes the quadrature route.
+    try:
+        assert [universal_constant(n).hex() for n in range(2, 9)] == table == PINNED_U
+    finally:
+        clear_caches()
+
+
+def _bernoulli(m):
+    """B_0 ... B_m as Fractions (B_1 = -1/2), by the defining recurrence."""
+    b = [Fraction(1)]
+    for j in range(1, m + 1):
+        b.append(-sum(comb(j + 1, i) * b[i] for i in range(j)) / (j + 1))
+    return b
+
+
+def _stirling_row(r):
+    """Unsigned Stirling numbers of the first kind c(r, 0..r).
+
+    They are the coefficients of m(m+1)...(m+r-1) = sum_i c(r, i) m^i.
+    """
+    row = [1]
+    for j in range(r):
+        row = [j * a + b for a, b in zip(row + [0], [0] + row)]
+    return row
+
+
+def weyl_polynomial(n):
+    """u_n vol(S^{2n-1}) = sum_i c(n-1, i) zeta(n+1-i) / (2^(n-1) n! (n-2)!).
+
+    The sum runs over 1 <= i <= n-1 with i = n-1 (mod 2), so only even zeta
+    values appear.  Returns {j: the exact coefficient of pi^(2j)}, from
+    zeta(2j) = (-1)^(j+1) B_(2j) (2 pi)^(2j) / (2 (2j)!).
+    """
+    c, b = _stirling_row(n - 1), _bernoulli(n + 1)
+    scale = 2 ** (n - 1) * math.factorial(n) * math.factorial(n - 2)
+    poly = {}
+    for i in range(n - 1, 0, -2):
+        j = (n + 1 - i) // 2
+        zeta = (-1) ** (j + 1) * b[2 * j] * 2 ** (2 * j) / (2 * math.factorial(2 * j))
+        poly[j] = c[i] * zeta / scale
+    return poly
+
+
+def test_the_table_matches_the_exact_weyl_polynomial():
+    assert weyl_polynomial(2) == {1: Fraction(1, 24)}
+    assert weyl_polynomial(3) == {1: Fraction(1, 144)}
+    for n in range(2, 9):
+        exact = sum(float(coefficient) * math.pi ** (2 * j)
+                    for j, coefficient in weyl_polynomial(n).items())
+        # Simpson's truncation and tolerance: at most 4.9e-13 relative, at n = 4.
+        assert abs(universal_constant(n) * sphere_volume(n) / exact - 1) < 5e-13, n
+
+
+def test_quadrature_refuses_an_overflowing_integrand():
+    # At x = -50 the exponent is about 4.605 n - 100, past a float from n = 176.
+    assert math.isfinite(_weyl_integrand(175)(-50.0))
+    with pytest.raises(NonConvergence) as info:
+        universal_constant(180)
+    assert str(info.value) == "Weyl integrand overflows a float at n=180, x=-50.0"
 
 
 def test_bound_examples_hold():

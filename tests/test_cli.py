@@ -556,13 +556,21 @@ def test_remainder_refusal_runs_no_quadrature(capsys, monkeypatch):
     monkeypatch.setattr(asymptotics, "_adaptive_simpson",
                         lambda *args: calls.append(args) or quad(*args))
     clear_caches()
-    # n = 9 raises NonConvergence once its quadrature runs; n = 8 converges.
+    # n = 9 raises NonConvergence once its quadrature runs; n = 8 reads the table.
     for weights in ("1,1,1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1"):
         code, out, err = run(capsys, "remainder", "--lens", "2:" + weights, "--lambda-max", "24",
                              "--samples", "1", "--budget", "1")
         assert (code, out) == (2, "")
         assert "work 3 exceeds budget 1" in err
     assert calls == []
+
+
+def test_remainder_refuses_a_weyl_integrand_past_a_float(capsys):
+    # From n = 176 the integrand's exponential overflows at x = -50.
+    code, out, err = run(capsys, "remainder", "--lens", "2:" + ",".join(["1"] * 180),
+                         "--lambda-max", "2", "--samples", "1")
+    assert (code, out) == (2, "")
+    assert "Weyl integrand overflows a float at n=180, x=-50.0" in err
 
 
 def test_weyl_budget_flag(capsys):

@@ -31,7 +31,7 @@ from kohnspec.isospectral import (
     spectra_equal_up_to,
     t_apply,
 )
-from kohnspec.spectrum import lens_counting, multiplicity_table
+from kohnspec.spectrum import counting_grid_size, lens_counting, multiplicity_table
 from kohnspec.sphere import dim_hpq, eigenvalue, sphere_counting
 
 
@@ -127,6 +127,7 @@ def test_text_format_rejects_garbage():
         (dim_hpq, (1, 0, 0)),
         (eigenvalue, (1, 0, 1)),
         (sphere_counting, (1, 10)),
+        (counting_grid_size, (1, 10)),
         (universal_constant, (1,)),
         (lemma_ratio_decay, (1, [4])),
     ]
@@ -168,6 +169,7 @@ L5_3D = make_lens_space(3, 5, [1, 2, 3])
         (multiplicity_table, (L5, -2)),
         (spectra_equal_up_to, (L5, make_lens_space(2, 5, [1, 3]), -2)),
         (sphere_counting, (2, -2)),
+        (counting_grid_size, (2, -2)),
         (lemma_ratio_decay, (2, [4, -2])),
         (weyl_ratio_series, (L5, -2, 2)),
         (genfunc_series, (L5, 0.1, 0.1, -2)),
