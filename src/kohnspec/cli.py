@@ -23,7 +23,6 @@ from itertools import chain, product, repeat
 from . import asymptotics, genfunc, isospectral, spectrum
 from .core import DEFAULT_BUDGET, KohnSpecError, LensSpace, charge, parse_lens_spec
 from .invariant import (
-    _cell_work,
     _grid_work,
     dim_invariant,
     dim_invariant_bruteforce,
@@ -95,18 +94,9 @@ def _emit_json(obj) -> None:
 
 
 def cmd_dim(args) -> int:
-    method = {"auto": dim_invariant, "dp": dim_invariant_dp}.get(args.method)
-    if method is not None:
-        space = args.lens
-        if args.method == "dp" or space.n > 2:
-            charge(_cell_work(space, args.p, args.q), args.budget)
-        print(method(space, args.p, args.q))
-    else:
-        charged = {
-            "recurrence": dim_invariant_recurrence,
-            "bruteforce": dim_invariant_bruteforce,
-        }[args.method]
-        print(charged(args.lens, args.p, args.q, args.budget))
+    routes = {"auto": dim_invariant, "dp": dim_invariant_dp,
+              "recurrence": dim_invariant_recurrence, "bruteforce": dim_invariant_bruteforce}
+    print(routes[args.method](args.lens, args.p, args.q, args.budget))
     return 0
 
 

@@ -43,7 +43,7 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def dim_invariant_bruteforce(
-    space: LensSpace, p: int, q: int, budget: int = DEFAULT_BUDGET
+    space: LensSpace, p: int, q: int, budget: int | None = DEFAULT_BUDGET
 ) -> int:
     """Count the invariant dimension by exhaustive pair enumeration.
 
@@ -120,16 +120,21 @@ def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(map(mul, a, b))
 
 
-def dim_invariant_dp(space: LensSpace, p: int, q: int) -> int:
+def dim_invariant_dp(
+    space: LensSpace, p: int, q: int, budget: int | None = DEFAULT_BUDGET
+) -> int:
     """Invariant dimension N(p, q) - N(p-1, q-1) by residue-class convolution.
 
     N(p, q) is the dot product of profile rows p and q: the pairs with
     equal residues.  The second term is absent when p = 0 or q = 0.
     Multiplying by z_1 zbar_1 maps the (p-1, q-1) pairs one-to-one,
     residue kept, onto the pairs with alpha_1, beta_1 >= 1, so this is
-    the alpha_1 = 0 or beta_1 = 0 count of the oracle.
+    the alpha_1 = 0 or beta_1 = 0 count of the oracle.  `_cell_work` is
+    charged before any profile row is built, and not computed for budget None.
     """
     check_bidegree(p, q)
+    if budget is not None:
+        charge(_cell_work(space, p, q), budget)
     row = _profile_rows(space.weights, space.k)
     count = _dot(row(p), row(q))
     if p and q:
@@ -229,16 +234,16 @@ def dim_invariant_recurrence(
     return base_dim_table(space)[p % k][q % k] + d * (p // k + q // k)
 
 
-def dim_cell(space: LensSpace) -> Callable[[int, int], int]:
-    """dim_invariant(space, p, q) as a function of p, q >= 0 alone.
+def dim_cell(space: LensSpace, budget: int | None = None) -> Callable[[int, int], int]:
+    """dim_invariant(space, p, q, budget) as a function of p, q >= 0 alone.
 
     The one place that picks the per-cell route for a space: the n = 2
-    closed form, O(1) per cell with no table, or for higher n the space
-    bound to the convolution.  A caller asking about many cells binds it
-    once.  The n = 2 closed form does not sign-check bidegrees;
-    `dim_invariant_dp`, the route for n >= 3, checks every cell.
+    closed form, O(1) per cell with no table, charge or sign check, or for
+    higher n `dim_invariant_dp` with the space and budget bound.  A caller
+    asking about many cells binds it once with the default None, which
+    prices no cell, and charges its whole grid itself.
     """
-    return _closed_form(space) if space.n == 2 else partial(dim_invariant_dp, space)
+    return _closed_form(space) if space.n == 2 else partial(dim_invariant_dp, space, budget=budget)
 
 
 # The fixed cost of one pass over a profile row, in units of one entry:
@@ -303,11 +308,13 @@ def dim_grid(space: LensSpace, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(grid)
 
 
-def dim_invariant(space: LensSpace, p: int, q: int) -> int:
+def dim_invariant(
+    space: LensSpace, p: int, q: int, budget: int | None = DEFAULT_BUDGET
+) -> int:
     """Invariant dimension by the fastest exact route for the space.
 
-    The route is `dim_cell`'s.  k = 1 degenerates to the full sphere
-    eigenspace dimension either way.
+    The route, and at n >= 3 the `_cell_work` charge, is `dim_cell`'s.  k = 1
+    degenerates to the full sphere eigenspace dimension either way.
     """
     check_bidegree(p, q)
-    return dim_cell(space)(p, q)
+    return dim_cell(space, budget)(p, q)

@@ -432,6 +432,20 @@ def test_sphere_volume_values():
     assert abs(sphere_volume(3) - math.pi**3) < 1e-12
 
 
+def test_sphere_volume_past_a_float_factorial():
+    import mpmath
+
+    # (n - 1)! passes a float from n = 172, and pi^n from n = 621.
+    for n in (172, 200):
+        exact = 2 * mpmath.pi**n / mpmath.factorial(n - 1)
+        assert abs(sphere_volume(n) / exact - 1) < 1e-12, n
+    assert sphere_volume(227) > 0.0
+    assert sphere_volume(228) == sphere_volume(700) == sphere_volume(10**9) == 0.0
+    # Up to n = 171 the float formula stands, bit for bit (`remainder` uses n <= 8).
+    assert [sphere_volume(n) for n in (2, 8, 171)] == [
+        2.0 * math.pi**n / math.factorial(n - 1) for n in (2, 8, 171)]
+
+
 def test_remainder_single_row():
     rows = remainder_experiment(make_lens_space(2, 3, [1, 1]), 200, 1)
     assert len(rows) == 1

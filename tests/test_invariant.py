@@ -1,4 +1,5 @@
 import math
+import time
 from math import comb
 
 import pytest
@@ -441,3 +442,42 @@ def test_n2_grid_solves_the_congruence_once_per_diagonal(monkeypatch, k, weights
     monkeypatch.setattr(invariant, "_solution", counted)
     assert dim_grid(space, 29) == expected
     assert solved == [-r for r in range(30)]  # the diagonals q - p = r >= 0
+
+
+@pytest.mark.usefixtures("cold_caches")
+@pytest.mark.parametrize("route", [dim_invariant, dim_invariant_dp])
+def test_the_convolution_routes_charge_their_cell(route):
+    # min(10^6 + 1, nk) + 2 = 6011 profile rows at 3 (2003 + 6), refused before any is built.
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match=r"^work 36228297 exceeds budget 10000000$"):
+        route(make_lens_space(3, 2003, [1, 2, 3]), 10**6, 10**6)
+    assert time.perf_counter() - start < 1.0
+    # The price `dim --budget` pins: 4 + 2 rows at 3 (7 + 6).
+    space = make_lens_space(3, 7, [1, 2, 3])
+    with pytest.raises(ResourceLimit, match=r"^work 234 exceeds budget 233$"):
+        route(space, 3, 1, budget=233)
+    assert route(space, 3, 1, budget=234) == route(space, 3, 1, budget=None) == 3
+    assert route(space, 3, 1, budget=None) == dim_invariant_bruteforce(space, 3, 1)
+
+
+def test_only_the_convolution_is_charged_per_cell():
+    # `dp` prices its 4 + 2 rows at 2 (7 + 6) even at n = 2; `auto` takes the closed form.
+    space = make_lens_space(2, 7, [1, 2])
+    with pytest.raises(ResourceLimit, match=r"^work 156 exceeds budget 155$"):
+        dim_invariant_dp(space, 3, 1, budget=155)
+    assert dim_invariant(space, 3, 1, budget=0) == dim_invariant_dp(space, 3, 1) == 0
+
+
+@pytest.mark.usefixtures("cold_caches")
+def test_per_cell_bindings_price_no_cell(monkeypatch):
+    space = make_lens_space(3, 7, [1, 2, 3])
+    calls, cell_work = [], invariant._cell_work
+
+    def counted(*args):
+        calls.append(args)
+        return cell_work(*args)
+
+    monkeypatch.setattr(invariant, "_cell_work", counted)
+    spectrum.multiplicity_table(space, 300)
+    assert calls == []
+    assert dim_invariant(space, 3, 1) == 3 and calls == [(space, 3, 1)]  # the patch is seen
