@@ -195,7 +195,11 @@ def universal_constant(n: int) -> float:
 
 
 def sphere_volume(n: int) -> float:
-    """Volume of the unit sphere S^(2n-1), i.e. 2 pi^n / Gamma(n), 0.0 from n = 228."""
+    """Volume of the unit sphere S^(2n-1), i.e. 2 pi^n / Gamma(n), 0.0 from n = 228.
+
+    n below 2 raises DimensionTooSmall (`check_dimension`).
+    """
+    check_dimension(n)
     if n <= 171:  # Past this, (n - 1)! overflows a float: logs, 3e-13 relative to n = 219.
         return 2.0 * math.pi**n / math.factorial(n - 1)
     return math.exp(math.log(2.0) + n * math.log(math.pi) - math.lgamma(n))
@@ -287,21 +291,20 @@ def lemma_ratio_decay(n: int, lambda_list: list[int]) -> list[Fraction]:
     A sums C(p+n-2, n-2) C(q+n-2, n-2) over the counting index set at each
     half-eigenvalue cutoff; B sums the full dimension terms, so it is the
     sphere count at twice the cutoff.  A is summed line by line, each line
-    in closed form by the hockey-stick identity sum_(j<=m) C(j, r) = C(m+1, r+1).
-    A negative cutoff raises ValueError (`check_cutoff`); B's counts are
-    charged against the default budget (`ResourceLimit`).
+    in closed form by the hockey-stick identity sum_(j<=m) C(j, r) = C(m+1, r+1),
+    all cutoffs in one `_sum_lines`.  A negative cutoff raises ValueError
+    (`check_cutoff`); B's counts are charged against the default budget
+    (`ResourceLimit`).
     """
     check_dimension(n)
     check_cutoff(min(lambda_list, default=0))
 
     sphere = make_lens_space(n, 1, [1] * n)
     (b_sums,) = _counts([sphere], [2 * h for h in lambda_list], DEFAULT_BUDGET)
+    a_sums = _sum_lines(lambda_list, n,
+                        lambda f, x: comb(f + n - 2, n - 2) * comb(x + n - 2, n - 1))
     # Below the first eigenvalue A = B = 0; the ratio is taken as 0.
-    return [
-        Fraction(_sum_lines(h, n, lambda f, x: comb(f + n - 2, n - 2) * comb(x + n - 2, n - 1)),
-                 b or 1)
-        for h, b in zip(lambda_list, b_sums)
-    ]
+    return [Fraction(a, b or 1) for a, b in zip(a_sums, b_sums)]
 
 
 class RemainderSample(NamedTuple):

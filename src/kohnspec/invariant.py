@@ -75,16 +75,17 @@ def _profile_rows(weights: tuple[int, ...], k: int) -> Callable[[int], tuple[int
     """Residue profiles of the weight list, as a memoized function of degree.
 
     Row t, column r counts exponent tuples of degree t whose weighted sum
-    is r mod k.  With m weights, rows t < mk are filled on demand, O(mk)
-    each, by new[t][r] = old[t][r] + new[t-1][r-w] on the newest rows of
-    the partial products.  The generating function is P(t)/(1 - t^k)^m,
-    deg P = m(k - 1), so row e + ck is a polynomial of degree < m in c for
-    all c >= 0: a later row is interpolated from rows e + ik, i < m, in O(mk).
+    is r mod k (0 for t < 0).  With m weights, rows t < mk are filled on
+    demand, O(mk) each, by new[t][r] = old[t][r] + new[t-1][r-w] on the
+    newest rows of the partial products.  The generating function is
+    P(t)/(1 - t^k)^m, deg P = m(k - 1), so row e + ck is a polynomial of
+    degree < m in c for all c >= 0: a later row is sum_j C(c, j) D_j, in
+    O(mk), D_j the forward differences of rows e + ik, i < m, made once.
     A zero weight appended makes row t the sum of rows 0..t (a slack).
     """
     m = len(weights)
     newest = [(1,) + (0,) * (k - 1)] * m  # the newest row of each partial product
-    filled, memo = [newest[0]], {}
+    filled, memo, differences = [newest[0]], {}, {}
 
     def profile(t: int) -> tuple[int, ...]:
         if t not in memo:
@@ -95,11 +96,17 @@ def _profile_rows(weights: tuple[int, ...], k: int) -> Callable[[int], tuple[int
                 filled.append(newest[-1])
             c, e = divmod(t, k)
             if c < m:
-                memo[t] = filled[t]
-            else:  # The exact integer Lagrange weights on the nodes c = 0..m-1.
-                lagrange = [(-1) ** (m - 1 - i) * comb(c, i) * comb(c - i - 1, m - 1 - i)
-                            for i in range(m)]
-                memo[t] = tuple(sum(map(mul, lagrange, col)) for col in zip(*filled[e::k]))
+                memo[t] = filled[t] if t >= 0 else (0,) * k
+            else:
+                if e not in differences:
+                    rows, differences[e] = filled[e::k], []
+                    while rows:
+                        differences[e].append(rows[0])
+                        rows = [tuple(map(sub, b, a)) for a, b in pairwise(rows)]
+                row = differences[e][0]
+                for j, delta in enumerate(differences[e][1:], 1):
+                    row = map(add, row, map(mul, repeat(comb(c, j)), delta))
+                memo[t] = tuple(row)
         return memo[t]
 
     return profile

@@ -16,9 +16,10 @@ lam/2.  k = 1 encodes the sphere.
 
 Every count N_L(lam) comes from `_counts`, at any list of cutoffs, and
 visits no cell: `_sum_lines` sums each line by the kernel's prefix
-function in closed form.  Each count is memoized per space for the last
-eight spaces (`_count_memo`), so a sweep and a count at its cutoffs
-compute each N_L once; a memo hit is charged like a miss.
+function in closed form, and ascending cutoffs share their column terms.
+Each count is memoized per space for the last eight spaces
+(`_count_memo`), so a sweep and a count at its cutoffs compute each N_L
+once; a memo hit is charged like a miss.
 `counting_grid_size` and the lemma sums of `asymptotics` are line sums
 too.  Tables, counts and comparisons check their work with `core.charge`.
 """
@@ -132,17 +133,20 @@ def _sieve(space: LensSpace, lambda_max: int) -> dict[int, int]:
 
 
 def _line_cells(half: int, n: int, step: int):
-    """(shift, f, ms, halves) for each line of `_lines(half, n)`, in its order.
+    """(shift, f, ms, halves) for each line of `_lines(half, n)`, rows first.
 
     ms holds the line's m in [lo, hi) congruent to f mod step, the only
     cells that can have positive dim (see `_kernel`), and halves[i], the
     half-eigenvalue q(p + n - 1) of the cell (f, ms[i]), is fixed (ms[i] +
     shift).  A row has shift n - 1 and a column shift 0.
     """
-    for fixed, shift, f, lo, hi in _lines(half, n):
-        ms = range(lo + (f - lo) % step, hi, step)
-        yield shift, f, ms, range(fixed * (ms.start + shift), fixed * (ms.stop + shift),
-                                  fixed * step)
+    s, rows, columns = _lines(half, n)
+    for shift, lo, (fs, his) in ((n - 1, 0, rows), (0, s + 1, columns)):
+        for f, hi in zip(fs, his):
+            fixed = f + n - 1 - shift
+            ms = range(lo + (f - lo) % step, hi, step)
+            yield shift, f, ms, range(fixed * (ms.start + shift), fixed * (ms.stop + shift),
+                                      fixed * step)
 
 
 class _Kernel(NamedTuple):
@@ -150,10 +154,10 @@ class _Kernel(NamedTuple):
 
     dim(f, m) vanishes off step | f - m.  dims(half)(f, ms): dim(f, m) for m
     in ms, lazily (the writer's rows); table_dims(half, lines): the same for
-    the sieve's lines; prefix()(f, x): the sum of dim(f, m) over m < x.  The
-    charges sieve_work(half) and count_work(halves) hold even when caches
-    hold the work.  Building a kernel builds nothing: tables and profiles
-    are reached only inside dims, table_dims and prefix.
+    the sieve's lines; prefix()(f, x): the sum of dim(f, m) over m < x, 0
+    at x = 0.  The charges sieve_work(half) and count_work(halves) hold
+    even when caches hold the work.  Building a kernel builds nothing:
+    tables and profiles are reached only inside dims, table_dims and prefix.
     """
 
     step: int
@@ -184,7 +188,8 @@ def _kernel_2(space: LensSpace) -> _Kernel:
     x = c k + e cells from the base row's prefix sums at k and e and the
     admissible residues, k/d per full block and `part` in the last.  A
     sieve is charged one unit per cell plus the base table's `_grid_work`,
-    k^2; counts that fill, its k^2 prefix sums and one unit per prefix call.
+    k^2; counts that fill, its k^2 prefix sums and 3 isqrt(half) per cutoff,
+    one per prefix call at most.
     """
     k, d = space.k, _congruence_gcd(space)
     period = k // d
@@ -251,11 +256,11 @@ def _kernel_n(space: LensSpace) -> _Kernel:
     cumulative.  A sieve is charged 2k per cell it evaluates (two dot
     products of k entries at most; `write_json` with contributors does up
     to twice that) plus the profile rows its lines reach, p, q <= half.
-    Counts are charged k per dot product, two per prefix call (one call
-    per row, two per column: 3 isqrt(half) per cutoff, `lines` in all),
+    Counts are charged k per dot product, two per prefix call (at most one
+    call per row, two per column: 3 isqrt(half) per cutoff, `lines` in all),
     and per profile row the `_profile_work` of a row of n + 1 weights
     (each pass has a fixed cost, tuple building or an interpolated row's
-    two `comb` calls, that dominates at small k): the cumulative
+    `comb` calls, that dominates at small k): the cumulative
     profile's m = (n + 1) k filled rows, at most min(lines, largest + 1)
     interpolated ones, and the plain profile's rows 0..isqrt(largest).
     """
@@ -276,7 +281,7 @@ def _kernel_n(space: LensSpace) -> _Kernel:
 
     def sieve_work(half: int) -> int:
         # The cells `_line_cells` lists: the m = f mod g of each line.
-        cells = _sum_lines(half, n, lambda f, x: (x - 1 - f % g) // g + 1)
+        cells = _sum_lines([half], n, lambda f, x: (x - 1 - f % g) // g + 1)[0]
         return 2 * k * cells + _profile_work(space, half + 1)
 
     def count_work(halves: list[int]) -> int:
@@ -327,8 +332,8 @@ def _counts(spaces, lams, budget: int | None) -> list[list[int]]:
     All the work (each kernel's `count_work`) is charged first, memoized
     cutoffs too, so the verdict does not depend on cache state; over
     budget raises ResourceLimit before any is done.  Then each space's
-    distinct half-cutoffs missing from its `_count_memo` are summed by
-    `_sum_lines` with one kernel `prefix`, whose setup serves them all.
+    distinct half-cutoffs missing from its `_count_memo` are summed in
+    ascending order by one `_sum_lines` with one kernel `prefix`.
     """
     check_cutoff(min(lams, default=0))
     halves = [lam // 2 for lam in lams]
@@ -338,8 +343,7 @@ def _counts(spaces, lams, budget: int | None) -> list[list[int]]:
     for space, kernel in zip(spaces, kernels):
         memo = _count_memo(space)
         if missing := sorted(set(halves).difference(memo)):
-            prefix = kernel.prefix()
-            memo.update((half, _sum_lines(half, space.n, prefix)) for half in missing)
+            memo.update(zip(missing, _sum_lines(missing, space.n, kernel.prefix())))
         counts.append([memo[half] for half in halves])
     return counts
 
@@ -350,14 +354,28 @@ def _count_memo(space: LensSpace) -> dict[int, int]:
     return {}
 
 
-def _sum_lines(half: int, n: int, prefix) -> int:
-    """Sum of a value symmetric in (p, q) over the cells q >= 1, q(p + n - 1) <= half.
+def _sum_lines(halves, n: int, prefix) -> list[int]:
+    """Per half in `halves`, the sum of a value symmetric in (p, q) over
+    the cells q >= 1, q(p + n - 1) <= half.
 
-    prefix(f, x) = sum of value(f, m), 0 <= m < x; each line of `_lines`
-    adds prefix(f, hi) - prefix(f, lo), a row's lo = 0 term dropped.
+    prefix(f, x) sums value(f, m) over m < x (0 at x = 0).  A half maps it
+    over its `_lines`, less Sq(s) = sum of prefix(f, s + 1), f <= s - n + 1,
+    the columns' lo terms.  By symmetry Sq(t + 1) - Sq(t) = prefix(t - n + 2,
+    t + 2) + prefix(t + 1, t - n + 2): Sq(s) grows from the last half's
+    Sq(t) or is summed anew, whichever takes fewer calls.
     """
-    return sum(prefix(f, hi) - prefix(f, lo) if lo else prefix(f, hi)
-               for _, _, f, lo, hi in _lines(half, n))
+    sums, t, square = [], n - 2, 0  # Sq(t) = 0 for t <= n - 2.
+    for half in halves:
+        s, (us, row_his), (fs, col_his) = _lines(half, n)
+        if 0 <= 2 * (s - t) < s - n + 2:  # Then t >= n: every term of the growth is there.
+            edge = range(t - n + 2, s - n + 2)
+            square += (sum(map(prefix, edge, range(t + 2, s + 2)))
+                       + sum(map(prefix, range(t + 1, s + 1), edge)))
+        else:
+            square = sum(map(prefix, range(s - n + 2), repeat(s + 1)))
+        t = s
+        sums.append(sum(map(prefix, us, row_his)) + sum(map(prefix, fs, col_his)) - square)
+    return sums
 
 
 def _lines(half: int, n: int):
@@ -365,13 +383,15 @@ def _lines(half: int, n: int):
 
     In u = q, v = p + n - 1, rows u <= s = isqrt(half) run v = n - 1..half // u,
     columns n - 1 <= v <= s run u = s+1..half // v, and past u = s, v < s+1.
-    A line (fixed, shift, f, lo, hi) runs m over [lo, hi): a row fixes q = f
-    = u, p = m, lo = 0; a column fixes p = f = v - n + 1, q = m, lo = s + 1.
-    The cell's index u v is fixed (m + shift).
+    Returns (s, (fs, his) of the rows, (fs, his) of the columns): line f runs
+    m over [lo, hi).  A row fixes q = f = u, p = m, lo = 0; a column fixes
+    p = f = v - n + 1, q = m, lo = s + 1.  The cell's index u v is fixed (m
+    + shift), fixed = f + n - 1 - shift, shift n - 1 in a row, 0 in a column.
     """
     s = isqrt(max(half, 0))
-    rows = ((u, n - 1, u, 0, hi) for u in range(1, s + 1) if (hi := half // u - n + 2) > 0)
-    return chain(rows, ((v, 0, v - n + 1, s + 1, half // v + 1) for v in range(n - 1, s + 1)))
+    us, vs = range(1, min(s, half // (n - 1)) + 1), range(n - 1, s + 1)
+    return (s, (us, [half // u - n + 2 for u in us]),
+            (range(len(vs)), [half // v + 1 for v in vs]))
 
 
 def counting_grid_size(n: int, lam: int) -> int:
@@ -381,7 +401,7 @@ def counting_grid_size(n: int, lam: int) -> int:
     """
     check_dimension(n)
     check_cutoff(lam)
-    return _sum_lines(lam // 2, n, lambda f, x: x)
+    return _sum_lines([lam // 2], n, lambda f, x: x)[0]
 
 
 def spectrum_to_csv(table: SpectrumTable) -> str:

@@ -4,8 +4,9 @@ The eigenspaces of the Kohn Laplacian on the sphere are the bigraded
 harmonic spaces indexed by (p, q), of eigenvalue 2q(p + n - 1); the
 kernel (q = 0) is excluded from all counting.  The cell walker `_rows`
 serves only the `sphere_counting` oracle; counts, the grid size and the
-lemma sums sum the lines of `spectrum._lines` by one prefix function each
-(`spectrum._sum_lines`), and the spectrum sieve adds those lines one at a time.
+lemma sums sum the lines of `spectrum._lines` by one prefix function each,
+a batch of cutoffs at a time (`spectrum._sum_lines`), and the spectrum
+sieve adds those lines one at a time.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from functools import partial
 from itertools import product, starmap
 from math import comb
 
-from .core import check_bidegree, check_cutoff, check_dimension
+from .core import DEFAULT_BUDGET, charge, check_bidegree, check_dimension
+from .spectrum import counting_grid_size
 
 
 def dim_hpq(n: int, p: int, q: int) -> int:
@@ -60,13 +62,14 @@ def _fold(n: int, lam: int, cell) -> int:
     )
 
 
-def sphere_counting(n: int, lam: int) -> int:
+def sphere_counting(n: int, lam: int, budget: int | None = DEFAULT_BUDGET) -> int:
     """Number of positive eigenvalues <= lam on S^(2n-1), with multiplicity.
 
     Sums dim_hpq over p and the admissible q-range 1 <= q <= lam/(2(p+n-1)),
     mirroring the double sum the asymptotic analysis manipulates.  A
-    negative lam raises ValueError (`check_cutoff`).
+    negative lam raises ValueError (`check_cutoff`); the walk's cells,
+    `counting_grid_size(n, lam)`, are charged before it starts, and over
+    `budget` (None: unbounded) raise ResourceLimit.
     """
-    check_dimension(n)
-    check_cutoff(lam)
+    charge(counting_grid_size(n, lam), budget)
     return _fold(n, lam, partial(dim_hpq, n))

@@ -24,6 +24,7 @@ from kohnspec.asymptotics import (
     _weyl_integrand,
 )
 from kohnspec.core import (
+    DimensionTooSmall,
     NonConvergence,
     ResourceLimit,
     UnsupportedDimension,
@@ -430,6 +431,12 @@ def test_weyl_constant_experiment_below_first_eigenvalue():
 def test_sphere_volume_values():
     assert abs(sphere_volume(2) - 2 * math.pi**2) < 1e-12
     assert abs(sphere_volume(3) - math.pi**3) < 1e-12
+
+
+def test_sphere_volume_needs_n_at_least_2():
+    for n in (1, 0, -3):
+        with pytest.raises(DimensionTooSmall):
+            sphere_volume(n)
 
 
 def test_sphere_volume_past_a_float_factorial():

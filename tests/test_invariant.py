@@ -138,6 +138,13 @@ def test_profile_rows_match_the_plain_fill(request):
         assert rows(t) == literal[t], (weights, k, t)
 
 
+def test_profile_rows_are_zero_below_degree_0():
+    for weights, k in [((1, 2, 3), 5), ((1, 2, 3, 0), 5), ((1, 1), 1)]:
+        rows = _profile_rows(weights, k)
+        assert rows(0) == (1,) + (0,) * (k - 1)
+        assert rows(-1) == rows(-k - 1) == (0,) * k, (weights, k)
+
+
 def test_dp_matches_bruteforce_small_grid():
     for n, k, weights in [
         (2, 3, [1, 2]),

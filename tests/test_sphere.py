@@ -1,9 +1,11 @@
+import time
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kohnspec.core import DimensionTooSmall
+from kohnspec.core import DimensionTooSmall, ResourceLimit
+from kohnspec.spectrum import counting_grid_size
 from kohnspec.sphere import dim_hpq, eigenvalue, sphere_counting
 
 
@@ -79,3 +81,14 @@ def test_counting_matches_exhaustive_scan():
 def test_counting_nondecreasing():
     values = [sphere_counting(3, lam) for lam in range(0, 200, 2)]
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def test_counting_is_charged_its_cells_before_the_walk():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit):
+        sphere_counting(3, 10**7)  # 72.9M cells against the default 10M.
+    assert time.perf_counter() - start < 1
+    work = counting_grid_size(3, 400)
+    with pytest.raises(ResourceLimit):
+        sphere_counting(3, 400, budget=work - 1)
+    assert sphere_counting(3, 400, budget=work) == sphere_counting(3, 400, budget=None)

@@ -199,18 +199,22 @@ def test_line_sums_match_a_scan_of_every_cell(half, n, coefficients):
         return sum(value(f, m) for m in range(x))
 
     scan = sum(value(p, q) for p, q in bidegree_cells(half, n))
-    assert _sum_lines(half, n, prefix) == scan
+    assert _sum_lines([half], n, prefix) == [scan]
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_lines_list_each_cell_once_with_its_index(n):
     for half in [*range(-2, 150), 999, 1000, 3000]:
         listed = []
-        for fixed, shift, f, lo, hi in spectrum._lines(half, n):
-            for m in range(lo, hi):
-                p, q = (m, f) if shift else (f, m)  # A row has shift n - 1, a column 0.
-                assert fixed * (m + shift) == q * (p + n - 1)
-                listed.append((p, q))
+        s, rows, columns = spectrum._lines(half, n)
+        assert s == isqrt(max(half, 0))
+        for shift, lo, (fs, his) in ((n - 1, 0, rows), (0, s + 1, columns)):
+            for f, hi in zip(fs, his, strict=True):
+                fixed = f + n - 1 - shift
+                for m in range(lo, hi):
+                    p, q = (m, f) if shift else (f, m)  # A row has shift n - 1, a column 0.
+                    assert fixed * (m + shift) == q * (p + n - 1)
+                    listed.append((p, q))
         assert sorted(listed) == sorted(bidegree_cells(half, n))
 
 
@@ -228,9 +232,11 @@ def test_kernel_forms_agree_on_every_line(space, half):
     kernel, cell = _kernel(space), dim_cell(space)
     lines = list(spectrum._line_cells(half, space.n, kernel.step))
     dims, table_dims, prefix = kernel.dims(half), kernel.table_dims(half, lines), kernel.prefix()
-    for (_, _, f, lo, hi), (_, fixed, ms, _) in zip(spectrum._lines(half, space.n), lines,
-                                                   strict=True):
+    # Step 1 lists each line's whole range [lo, hi).
+    for (_, f, whole, _), (_, fixed, ms, _) in zip(spectrum._line_cells(half, space.n, 1),
+                                                   lines, strict=True):
         assert fixed == f
+        lo, hi = whole.start, whole.stop
         values = list(dims(f, ms))
         assert list(table_dims(f, ms)) == values == [cell(f, m) for m in ms]
         line_sum = prefix(f, hi) - prefix(f, lo) if lo else prefix(f, hi)
@@ -354,7 +360,72 @@ def test_dense_sweep_charges_its_setup_once():
 def cold_count(space, lams):
     """N_L at each cutoff by the count routine itself, past the memo."""
     prefix = _kernel(space).prefix()
-    return [_sum_lines(lam // 2, space.n, prefix) for lam in lams]
+    return [_sum_lines([lam // 2], space.n, prefix)[0] for lam in lams]
+
+
+@st.composite
+def half_batches(draw):
+    """Half-cutoffs for one batch: a dense run, sparse and tiny halves, repeats, any order."""
+    start, gap = draw(st.integers(0, 2500)), draw(st.integers(0, 60))
+    run = [start + gap * i for i in range(draw(st.integers(1, 12)))]
+    others = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 3000)), max_size=5))
+    halves = run + others + draw(st.lists(st.sampled_from(run), max_size=3))
+    return sorted(halves) if draw(st.booleans()) else draw(st.permutations(halves))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lens_spaces(n_values=(2, 3, 4), k_max=13), half_batches())
+@example(make_lens_space(3, 9, [1, 2, 4]), list(range(900, 1400, 20)))
+@example(make_lens_space(4, 5, [1, 2, 3, 4]), [0, 1, 2, 2000, 2001, 2040, 1, 2100])
+def test_a_batch_of_line_sums_equals_its_cutoffs_one_by_one(space, halves):
+    # The squares a batch shares must give each cutoff its own sum.
+    prefix = _kernel(space).prefix()
+    batch = _sum_lines(halves, space.n, prefix)
+    assert batch == [_sum_lines([h], space.n, prefix)[0] for h in halves]
+    spectrum._count_memo.cache_clear()
+    assert _counts([space], [2 * h for h in halves], None) == [batch]
+    for half, count in zip(halves, batch):
+        if half <= 200:
+            assert count == walked_count(space, 2 * half)
+
+
+@pytest.mark.usefixtures("cold_caches")
+@pytest.mark.parametrize("space", [make_lens_space(2, 15, [1, 2]),
+                                   make_lens_space(3, 9, [1, 2, 4])])
+def test_a_sweep_shares_its_squares(space, monkeypatch):
+    calls = []
+    kernel = spectrum._kernel
+
+    def counted(space):
+        plain = kernel(space)
+
+        def prefix():
+            line = plain.prefix()
+            return lambda f, x: calls.append(f) or line(f, x)
+
+        return plain._replace(prefix=prefix)
+
+    monkeypatch.setattr(spectrum, "_kernel", counted)
+    weyl_ratio_series(space, 5000, 200)
+    # One call per row and two per column, each cutoff alone, is 3 isqrt(h) at
+    # most per space (the charge): 5,076 calls for the two spaces at n = 2.
+    unshared = 2 * sum(3 * isqrt(h) for h in range(100, 2501, 100))
+    assert len(calls) < 0.75 * unshared
+
+
+@pytest.mark.parametrize("space", [make_lens_space(2, 7, [1, 3]), make_lens_space(2, 12, [1, 7]),
+                                   make_lens_space(3, 5, [1, 2, 3]),
+                                   make_lens_space(4, 3, [1, 1, 2, 2])])
+def test_an_empty_prefix_is_zero(space):
+    prefix, cell = _kernel(space).prefix(), dim_cell(space)
+    assert [prefix(f, 0) for f in range(30)] == [0] * 30
+    assert [prefix(f, 1) for f in range(30)] == [cell(f, 0) for f in range(30)]
+
+
+def test_ratio_decay_of_an_unsorted_list_is_that_of_each_cutoff():
+    halves = [900, 30, 0, 905, 1, 910, 905, 400, 2]
+    for n in (2, 3, 4):
+        assert lemma_ratio_decay(n, halves) == [lemma_ratio_decay(n, [h])[0] for h in halves]
 
 
 @settings(max_examples=30, deadline=None)
