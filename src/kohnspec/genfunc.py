@@ -141,8 +141,10 @@ def _numerical_rank(matrix: list[list[complex]]) -> int:
 
 
 def max_deviation(space: LensSpace, points, cutoff: int) -> float:
-    """Largest |closed - series| over the sample points."""
-    return max(
-        abs(genfunc_closed(space, z, w) - genfunc_series(space, z, w, cutoff))
-        for z, w in points
-    )
+    """Largest |closed - series| over the sample points; none raises InsufficientSamples."""
+    check_cutoff(cutoff)
+    deviations = [abs(genfunc_closed(space, z, w) - genfunc_series(space, z, w, cutoff))
+                  for z, w in points]
+    if not deviations:
+        raise InsufficientSamples("need at least 1 sample point, got 0")
+    return max(deviations)

@@ -5,14 +5,15 @@ the invariant dimensions over all (p, q) with that eigenvalue.  The cells
 q(p + n - 1) <= lam/2 lie under a hyperbola, which `_lines`, the one
 Dirichlet split, cuts into O(sqrt(lam)) rows and columns of bidegrees.
 Along a line the dimensions come from the space's `_kernel`, the one place
-that picks the formula: for n = 2 slices of the k x k base table, with no
-Python step per cell; for n >= 3 profile rows, through dim(p, q) = N(p, q)
-- N(p-1, q-1).  A table up to a cutoff is one sieve of multiplicities: the
-eigenvalues along a line are evenly spaced, so each line is one strided
-slice add.  `write_json` streams a whole table's provenance from the
-sieve's own lines, a block of eigenvalues at a time.  A single eigenvalue,
-and its per-(p, q) provenance, is answered by enumerating the divisors of
-lam/2.  k = 1 encodes the sphere.
+that picks the formula: for n = 2 a slice of one template per residue mod
+k, built from the k x k base table, with no Python step per cell; for
+n >= 3 profile rows, through dim(p, q) = N(p, q) - N(p-1, q-1).  A table
+up to a cutoff is one sieve of multiplicities: the eigenvalues along a
+line are evenly spaced, so each line is one strided slice add.
+`write_json` streams a whole table's provenance from the sieve's own
+lines and line dimensions, a block of eigenvalues at a time.  A single
+eigenvalue, and its per-(p, q) provenance, is answered by enumerating the
+divisors of lam/2.  k = 1 encodes the sphere.
 
 Every count N_L(lam) comes from `_counts`, at any list of cutoffs, and
 visits no cell: `_sum_lines` sums each line by the kernel's prefix
@@ -118,14 +119,14 @@ def _sieve(space: LensSpace, lambda_max: int) -> dict[int, int]:
     q) = dim(q, p), as conjugation maps the invariants of bidegree (p, q)
     onto those of (q, p).  A line's cells of positive dim, and their
     eigenvalues, are evenly spaced, so a line is one strided slice add of
-    the kernel's `table_dims`.
+    the kernel's `dims`.
     """
     if lambda_max < 2:  # The least eigenvalue is 2.
         return {}
     half, kernel = lambda_max // 2, _kernel(space)
     by_half = [0] * (half + 1)
     lines = list(_line_cells(half, space.n, kernel.step))
-    dims = kernel.table_dims(half, lines)
+    dims = kernel.dims(lines)
     for _, f, ms, halves in lines:
         line = slice(halves.start, halves.stop, halves.step)
         by_half[line] = map(add, by_half[line], dims(f, ms))
@@ -152,17 +153,17 @@ def _line_cells(half: int, n: int, step: int):
 class _Kernel(NamedTuple):
     """A space's dimension formula along the lines of `_lines`, in each form used.
 
-    dim(f, m) vanishes off step | f - m.  dims(half)(f, ms): dim(f, m) for m
-    in ms, lazily (the writer's rows); table_dims(half, lines): the same for
-    the sieve's lines; prefix()(f, x): the sum of dim(f, m) over m < x, 0
-    at x = 0.  The charges sieve_work(half) and count_work(halves) hold
-    even when caches hold the work.  Building a kernel builds nothing:
-    tables and profiles are reached only inside dims, table_dims and prefix.
+    dim(f, m) vanishes off step | f - m.  dims(lines)(f, ms): the list of
+    dim(f, m) for m in ms, for the `_line_cells` lines and any part of one
+    (the sieve's and the writer's one form); prefix()(f, x): the sum of
+    dim(f, m) over m < x, 0 at x = 0.  The charges sieve_work(half) and
+    count_work(halves) hold even when caches hold the work.  Building a
+    kernel builds nothing: tables and profiles are reached only inside
+    dims and prefix.
     """
 
     step: int
     dims: Callable
-    table_dims: Callable
     prefix: Callable
     sieve_work: Callable
     count_work: Callable
@@ -178,13 +179,13 @@ def _kernel_2(space: LensSpace) -> _Kernel:
     dim(f, m) = base[f mod k][m mod k] + d floor(f/k) + d floor(m/k), d = g.
 
     At m = f mod d + d j, floor(m/k) = floor(j/period), period = k/d, and the
-    base part repeats with that period: `dims` cycles a slice of base row
-    f mod k and adds a slice of floors[i] = d floor(i/period) at offset
-    j + period floor(f/k) (m <= half and f <= isqrt(half) bound the list).
-    `table_dims` cuts each line from a template per residue r = f mod k,
-    dims' row for f = r, as a shift by period floor(f/k) adds d floor(f/k);
-    only with isqrt(half) >= 2k, when each residue has two rows and two
-    columns or more, does a template serve several lines.  `prefix` sums
+    base part repeats with that period.  `dims` builds one template per
+    residue r = f mod k that its lines reach: the row for f = r, base row r
+    cycled from r mod d in steps of d plus floors[j] = d floor(j/period),
+    as long as the longest of those lines needs ([] for a residue with no
+    line).  Line (f, ms) is one slice of it, at offset j + period floor(f/k):
+    that shift adds d floor(f/k).  The templates hold O(half log k / d)
+    entries: residue r reaches about half / (d max(r, 1)).  `prefix` sums
     x = c k + e cells from the base row's prefix sums at k and e and the
     admissible residues, k/d per full block and `part` in the last.  A
     sieve is charged one unit per cell plus the base table's `_grid_work`,
@@ -194,36 +195,23 @@ def _kernel_2(space: LensSpace) -> _Kernel:
     k, d = space.k, _congruence_gcd(space)
     period = k // d
 
-    def dims(half: int):
+    def dims(lines: list):
         base = base_dim_table(space)
-        # Each multiple of d, period times: at least (half + isqrt(half)) / d + 1.
-        blocks = range(0, d * ((half + isqrt(half)) // k + 1), d)
-        floors = list(chain.from_iterable(map(repeat, blocks, repeat(period))))
-
-        def line(f: int, ms: range):
-            j, count = ms.start // d, len(ms)
-            start, offset = j % period, j + period * (f // k)
-            pattern = islice(cycle(base[f % k][f % d :: d]), start, start + count)
-            return map(add, pattern, floors[offset : offset + count])
-
-        return line
-
-    def table_dims(half: int, lines: list):
-        line = dims(half)
-        if isqrt(half) < 2 * k:
-            return line
         lengths = [0] * k
         for _, f, ms, _ in lines:
             r = f % k
             lengths[r] = max(lengths[r], ms.start // d + period * (f // k) + len(ms))
-        templates = [list(line(r, range(r % d, r % d + d * length, d)))
-                     for r, length in enumerate(lengths)]
+        # Each multiple of d, period times, as far as the longest template.
+        blocks = range(0, d * (max(lengths) // period + 1), d)
+        floors = list(chain.from_iterable(map(repeat, blocks, repeat(period))))
+        templates = [list(map(add, islice(cycle(base[r][r % d :: d]), length), floors))
+                     if length else [] for r, length in enumerate(lengths)]
 
-        def sliced(f: int, ms: range) -> list[int]:
+        def line(f: int, ms: range) -> list[int]:
             offset = ms.start // d + period * (f // k)
             return templates[f % k][offset : offset + len(ms)]
 
-        return sliced
+        return line
 
     def prefix():
         # One prefix table serves rows and columns: the base table is symmetric.
@@ -242,7 +230,7 @@ def _kernel_2(space: LensSpace) -> _Kernel:
     def count_work(halves: list[int]) -> int:
         return _grid_work(space, k - 1) + k * k + sum(3 * isqrt(h) for h in halves)
 
-    return _Kernel(d, dims, table_dims, prefix,
+    return _Kernel(d, dims, prefix,
                    lambda half: counting_grid_size(2, 2 * half) + _grid_work(space, k - 1),
                    count_work)
 
@@ -266,9 +254,9 @@ def _kernel_n(space: LensSpace) -> _Kernel:
     """
     n, k, g = space.n, space.k, _congruence_gcd(space)
 
-    def dims(half: int):
+    def dims(lines: list):
         cell = dim_cell(space)
-        return lambda f, ms: map(cell, repeat(f), ms)
+        return lambda f, ms: list(map(cell, repeat(f), ms))
 
     def prefix():
         plain, cum = _profile_rows(space.weights, k), _profile_rows(space.weights + (0,), k)
@@ -281,7 +269,7 @@ def _kernel_n(space: LensSpace) -> _Kernel:
 
     def sieve_work(half: int) -> int:
         # The cells `_line_cells` lists: the m = f mod g of each line.
-        cells = _sum_lines([half], n, lambda f, x: (x - 1 - f % g) // g + 1)[0]
+        cells = sum(len(ms) for _, _, ms, _ in _line_cells(half, n, g))
         return 2 * k * cells + _profile_work(space, half + 1)
 
     def count_work(halves: list[int]) -> int:
@@ -289,7 +277,7 @@ def _kernel_n(space: LensSpace) -> _Kernel:
         m, row = (n + 1) * k, _profile_work(space, n + 1) // n
         return row * (m + min(lines, largest + 1) + isqrt(largest) + 1) + 2 * k * lines
 
-    return _Kernel(g, dims, lambda half, lines: dims(half), prefix, sieve_work, count_work)
+    return _Kernel(g, dims, prefix, sieve_work, count_work)
 
 
 def build_spectrum(
@@ -430,7 +418,8 @@ def write_json(table: SpectrumTable, out, contributors: bool = False) -> None:
     """Write the table as JSON, laid out as `json.dumps(..., indent=2)` would.
 
     The layout is spelled out, so the document streams: one `%` of an
-    `_entry` template and one write per entry.  Beyond the sieve's lines,
+    `_entry` template and one write per entry.  Beyond the sieve's lines and
+    the kernel's `dims` (n = 2: its templates, O(half log k / d) entries),
     it holds one entry's string and the cells of _BLOCK consecutive halves.
     """
     out.write('{\n  "lens": %s,\n  "lambda_max": %d,\n  "entries": ['
@@ -449,8 +438,8 @@ def _provenance(table: SpectrumTable):
 
     The cells are the sieve's: each block of _BLOCK halves walks every line
     of `_line_cells` over the part whose halves fall in the block, takes
-    its dims from the kernel's lazy `dims` and files each cell of positive dim under
-    its half.  Only blocks with an eigenvalue are walked.  For a
+    its dims from the kernel's `dims` and files each cell of positive dim
+    under its half.  Only blocks with an eigenvalue are walked.  For a
     half h, the cells (u, v) with u v = h have p = h/u - n + 1 falling as u
     grows, and a column's u exceeds isqrt(half), which bounds a row's: the
     columns by v ascending, then the rows by u descending, file each
@@ -459,8 +448,8 @@ def _provenance(table: SpectrumTable):
     if not table.by_eigenvalue:  # Nothing to walk, and no base table to fill.
         return
     space, half, kernel = table.space, table.lambda_max // 2, _kernel(table.space)
-    dims = kernel.dims(half)
     lines = list(_line_cells(half, space.n, kernel.step))
+    dims = kernel.dims(lines)
     lines = [line for line in lines if not line[0]] + [line for line in lines[::-1] if line[0]]
     for block, entries in groupby(table.by_eigenvalue.items(), lambda e: e[0] // (2 * _BLOCK)):
         low = block * _BLOCK
@@ -477,7 +466,7 @@ def _provenance(table: SpectrumTable):
             if not part:
                 continue
             targets = buckets[start + first * stride - low :: stride]
-            ds = list(dims(f, part))
+            ds = dims(f, part)
             cells = zip(part, repeat(f), ds) if shift else zip(repeat(f), part, ds)
             # Flat: a formatted cell takes twice the memory.
             any(map(list.extend, compress(targets, ds), compress(cells, ds)))

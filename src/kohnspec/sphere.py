@@ -69,7 +69,11 @@ def sphere_counting(n: int, lam: int, budget: int | None = DEFAULT_BUDGET) -> in
     mirroring the double sum the asymptotic analysis manipulates.  A
     negative lam raises ValueError (`check_cutoff`); the walk's cells,
     `counting_grid_size(n, lam)`, are charged before it starts, and over
-    `budget` (None: unbounded) raise ResourceLimit.
+    `budget` (None: unbounded) raise ResourceLimit.  The row q = 1's
+    lam/2 - n + 2 cells are charged first, so a huge lam is refused
+    before its O(sqrt(lam)) grid size is summed.
     """
+    check_dimension(n)
+    charge(max(lam // 2 - n + 2, 0), budget)
     charge(counting_grid_size(n, lam), budget)
     return _fold(n, lam, partial(dim_hpq, n))

@@ -146,6 +146,14 @@ def test_max_deviation_small_for_matching_space():
     assert max_deviation(space, unit_disk_points(10, seed=5), 60) < 1e-9
 
 
+def test_max_deviation_refuses_no_points():
+    space = make_lens_space(2, 4, [1, 3])
+    with pytest.raises(InsufficientSamples, match=r"^need at least 1 sample point, got 0$"):
+        max_deviation(space, [], 60)
+    with pytest.raises(ValueError, match=r"^cutoff must be nonnegative, got -3$"):
+        max_deviation(space, [], -3)
+
+
 def test_series_refuses_a_negative_cutoff():
     # A negative cutoff summed no term: the series read 0 and the deviation |closed form|.
     space = make_lens_space(2, 5, [1, 2])

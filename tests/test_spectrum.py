@@ -245,6 +245,9 @@ def provenance_tables(draw):
 @example(build_spectrum(SPHERE3, 514))
 @example(build_spectrum(make_lens_space(2, 12, [1, 7]), 510))  # d = 6
 @example(build_spectrum(make_lens_space(2, 12, [1, 7]), 512))
+@example(build_spectrum(make_lens_space(2, 12, [1, 7]), 1150))  # isqrt(half) = 23 = 2k - 1
+@example(build_spectrum(make_lens_space(2, 12, [1, 7]), 1152))  # isqrt(half) = 24 = 2k
+@example(build_spectrum(make_lens_space(2, 12, [1, 7]), 60))  # residues 6-11 have no line
 @example(build_spectrum(make_lens_space(3, 1, [1, 1, 1]), 2))
 @example(build_spectrum(make_lens_space(3, 7, [1, 2, 4]), 514))
 @example(build_spectrum(make_lens_space(4, 5, [1, 2, 3, 4]), 512))
@@ -268,8 +271,9 @@ def test_contributors_json_streams_one_entry_at_a_time():
     from kohnspec import clear_caches
 
     # 7,450 eigenvalues and 68k cells: a 6.06 MB document.  The writer
-    # holds one entry's string and one block's cells (480 KiB at peak, with
-    # the templates); one string per block of it peaks at 0.9-1.3 MiB.
+    # holds the kernel's line templates (35.6k entries, 290 KiB), one
+    # entry's string and one block's cells: 743 KiB at peak, with the
+    # entry templates.  One string per block of it peaked at 0.9-1.3 MiB.
     table = build_spectrum(make_lens_space(2, 25, [8, 24]), 14912)
     clear_caches()  # The entry templates are built, and counted, in the trace.
     out = _ByteCount()

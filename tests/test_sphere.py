@@ -88,6 +88,10 @@ def test_counting_is_charged_its_cells_before_the_walk():
     with pytest.raises(ResourceLimit):
         sphere_counting(3, 10**7)  # 72.9M cells against the default 10M.
     assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit):
+        sphere_counting(2, 10**30)  # Its grid size alone takes O(10^15) steps.
+    assert time.perf_counter() - start < 0.1
     work = counting_grid_size(3, 400)
     with pytest.raises(ResourceLimit):
         sphere_counting(3, 400, budget=work - 1)

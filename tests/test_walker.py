@@ -220,25 +220,26 @@ def test_lines_list_each_cell_once_with_its_index(n):
 
 @settings(max_examples=60, deadline=None)
 @given(lens_spaces(n_values=(2, 3, 4), k_max=10), st.integers(0, 800))
-@example(make_lens_space(2, 7, [1, 2]), 195)  # d = 1, isqrt(half) = 13 < 2k: lazy rows
-@example(make_lens_space(2, 7, [1, 2]), 196)  # d = 1, isqrt(half) = 2k: templates
-@example(make_lens_space(2, 12, [1, 7]), 575)  # d = 6, lazy rows
-@example(make_lens_space(2, 12, [1, 7]), 576)  # d = 6, templates
-@example(make_lens_space(2, 1, [1, 1]), 4)  # the sphere, templates
+@example(make_lens_space(2, 7, [1, 2]), 195)  # d = 1, isqrt(half) = 13: 2k - 1
+@example(make_lens_space(2, 7, [1, 2]), 196)  # d = 1, isqrt(half) = 14 = 2k
+@example(make_lens_space(2, 12, [1, 7]), 575)  # d = 6, isqrt(half) = 23: 2k - 1
+@example(make_lens_space(2, 12, [1, 7]), 576)  # d = 6, isqrt(half) = 24 = 2k
+@example(make_lens_space(2, 12, [1, 7]), 30)  # d = 6, residues 6-11 have no line
+@example(make_lens_space(2, 1, [1, 1]), 4)  # the sphere
 @example(make_lens_space(3, 12, [1, 5, 7]), 300)  # g = 2
 @example(make_lens_space(4, 5, [1, 2, 3, 4]), 300)
 def test_kernel_forms_agree_on_every_line(space, half):
-    # The sieve's, the writer's and the count's forms of one line, and the cell route.
+    # The sieve's and the writer's form of one line, the count's, and the cell route.
     kernel, cell = _kernel(space), dim_cell(space)
     lines = list(spectrum._line_cells(half, space.n, kernel.step))
-    dims, table_dims, prefix = kernel.dims(half), kernel.table_dims(half, lines), kernel.prefix()
+    dims, prefix = kernel.dims(lines), kernel.prefix()
     # Step 1 lists each line's whole range [lo, hi).
     for (_, f, whole, _), (_, fixed, ms, _) in zip(spectrum._line_cells(half, space.n, 1),
                                                    lines, strict=True):
         assert fixed == f
         lo, hi = whole.start, whole.stop
-        values = list(dims(f, ms))
-        assert list(table_dims(f, ms)) == values == [cell(f, m) for m in ms]
+        values = dims(f, ms)
+        assert values == [cell(f, m) for m in ms]
         line_sum = prefix(f, hi) - prefix(f, lo) if lo else prefix(f, hi)
         assert sum(values) == line_sum == sum(cell(f, m) for m in range(lo, hi))
 
