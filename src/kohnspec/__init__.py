@@ -83,12 +83,12 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Drop every memo: profiles, base tables, counts, series grids, Weyl constants, templates.
+    """Drop every memo: profiles, base tables, counts, series grids, templates.
 
     Mainly for tests that need a cold start.
     """
-    from . import asymptotics, genfunc, invariant, spectrum
+    from . import genfunc, invariant, spectrum
 
     for memo in (invariant._profile_rows, invariant.base_dim_table, spectrum._count_memo,
-                 genfunc._series_grid, asymptotics.universal_constant, spectrum._entry):
+                 genfunc._series_grid, spectrum._entry):
         memo.cache_clear()

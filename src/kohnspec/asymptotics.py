@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -101,7 +100,8 @@ def _weyl_integrand(n: int) -> Callable[[float], float]:
     """(x/sinh x)^n * exp(-(n-2)x), with the removable singularity filled.
 
     Evaluated through logs so that the underflowing (x/sinh x)^n factor
-    and the overflowing exponential never meet as floats.
+    and the overflowing exponential never meet as floats.  sinh is a float
+    for |x| <= 710; `universal_constant` reads |x| <= T = 50.
     """
     log, sinh, exp, shift = math.log, math.sinh, math.exp, n - 2
 
@@ -109,11 +109,7 @@ def _weyl_integrand(n: int) -> Callable[[float], float]:
         if x == 0.0:
             return 1.0
         ax = abs(x)
-        if ax > 350.0:
-            log_ratio = log(2.0 * ax) - ax  # sinh ~ e^|x| / 2
-        else:
-            log_ratio = log(ax / sinh(ax))
-        exponent = n * log_ratio - shift * x
+        exponent = n * log(ax / sinh(ax)) - shift * x
         if exponent < -745.0:
             return 0.0
         try:
@@ -170,7 +166,6 @@ _SIMPSON_U = {
 }
 
 
-@cache
 def universal_constant(n: int) -> float:
     """The dimension-dependent constant of the Weyl asymptotic.
 
@@ -179,10 +174,9 @@ def universal_constant(n: int) -> float:
     interval [-T, T].  The result depends on n alone, so for n <= 8 it is
     read from `_SIMPSON_U`, the quadrature's own floats, instead of being
     recomputed in every process; the table keeps `remainder`'s digits.
-    For n >= 9 the quadrature runs (today it raises NonConvergence at
-    n = 9 and 10, which a table cannot express).  For n = 2 the closed
+    For n >= 9 the quadrature runs (it raises NonConvergence at every n
+    tried, 9 to 199, which a table cannot express).  For n = 2 the closed
     form is 1/48.
-    Memoized per n; a raised NonConvergence is not, so it is raised again.
     """
     check_dimension(n)
     if n in _SIMPSON_U:

@@ -159,7 +159,7 @@ def cmd_isospec(args) -> int:
     first, second = args.lens
     found, equal = isospectral._compare_spectra(first, second, args.lambda_max, args.budget)
     d_equal = None
-    if first.n == 2 and second.n == 2 and first.k == second.k:
+    if first.n == 2 and first.k == second.k:
         d_equal = isospectral.d_invariant_check(first, second)
     _emit_json(
         {

@@ -125,7 +125,7 @@ def _sieve(space: LensSpace, lambda_max: int) -> dict[int, int]:
         return {}
     half, kernel = lambda_max // 2, _kernel(space)
     by_half = [0] * (half + 1)
-    lines = list(_line_cells(half, space.n, kernel.step))
+    lines = list(_line_cells(half, space.n, _congruence_gcd(space)))
     dims = kernel.dims(lines)
     for _, f, ms, halves in lines:
         line = slice(halves.start, halves.stop, halves.step)
@@ -137,7 +137,7 @@ def _line_cells(half: int, n: int, step: int):
     """(shift, f, ms, halves) for each line of `_lines(half, n)`, rows first.
 
     ms holds the line's m in [lo, hi) congruent to f mod step, the only
-    cells that can have positive dim (see `_kernel`), and halves[i], the
+    cells that can have positive dim (see `_Kernel`), and halves[i], the
     half-eigenvalue q(p + n - 1) of the cell (f, ms[i]), is fixed (ms[i] +
     shift).  A row has shift n - 1 and a column shift 0.
     """
@@ -153,7 +153,8 @@ def _line_cells(half: int, n: int, step: int):
 class _Kernel(NamedTuple):
     """A space's dimension formula along the lines of `_lines`, in each form used.
 
-    dim(f, m) vanishes off step | f - m.  dims(lines)(f, ms): the list of
+    dim(f, m) vanishes off g | f - m, g = `_congruence_gcd`, the step the
+    sieve gives `_line_cells`.  dims(lines)(f, ms): the list of
     dim(f, m) for m in ms, for the `_line_cells` lines and any part of one
     (the sieve's and the writer's one form); prefix()(f, x): the sum of
     dim(f, m) over m < x, 0 at x = 0.  The charges sieve_work(half) and
@@ -162,7 +163,6 @@ class _Kernel(NamedTuple):
     dims and prefix.
     """
 
-    step: int
     dims: Callable
     prefix: Callable
     sieve_work: Callable
@@ -216,21 +216,20 @@ def _kernel_2(space: LensSpace) -> _Kernel:
     def prefix():
         # One prefix table serves rows and columns: the base table is symmetric.
         sums = [list(accumulate(row, initial=0)) for row in base_dim_table(space)]
-        full = k // d
 
         def line(a: int, x: int) -> int:
             r = a % k
             c, e = divmod(x, k)
             part = (e - r % d + d - 1) // d
             return (c * sums[r][k] + sums[r][e]
-                    + d * ((a // k) * (c * full + part) + full * c * (c - 1) // 2 + c * part))
+                    + d * ((a // k) * (c * period + part) + period * c * (c - 1) // 2 + c * part))
 
         return line
 
     def count_work(halves: list[int]) -> int:
         return _grid_work(space, k - 1) + k * k + sum(3 * isqrt(h) for h in halves)
 
-    return _Kernel(d, dims, prefix,
+    return _Kernel(dims, prefix,
                    lambda half: counting_grid_size(2, 2 * half) + _grid_work(space, k - 1),
                    count_work)
 
@@ -277,7 +276,7 @@ def _kernel_n(space: LensSpace) -> _Kernel:
         m, row = (n + 1) * k, _profile_work(space, n + 1) // n
         return row * (m + min(lines, largest + 1) + isqrt(largest) + 1) + 2 * k * lines
 
-    return _Kernel(g, dims, prefix, sieve_work, count_work)
+    return _Kernel(dims, prefix, sieve_work, count_work)
 
 
 def build_spectrum(
@@ -448,7 +447,7 @@ def _provenance(table: SpectrumTable):
     if not table.by_eigenvalue:  # Nothing to walk, and no base table to fill.
         return
     space, half, kernel = table.space, table.lambda_max // 2, _kernel(table.space)
-    lines = list(_line_cells(half, space.n, kernel.step))
+    lines = list(_line_cells(half, space.n, _congruence_gcd(space)))
     dims = kernel.dims(lines)
     lines = [line for line in lines if not line[0]] + [line for line in lines[::-1] if line[0]]
     for block, entries in groupby(table.by_eigenvalue.items(), lambda e: e[0] // (2 * _BLOCK)):

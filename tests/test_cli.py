@@ -278,6 +278,18 @@ def test_refusals_print_the_rule_and_exit_2(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("spec, message", [
+    pytest.param("6:2,3", "weight 2 is not coprime to k=6", id="not-coprime"),
+    pytest.param("5:x", "malformed lens spec '5:x'", id="malformed"),
+])
+def test_a_rejected_lens_spec_exits_2_with_its_rule(capsys, spec, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["count", "--lens", spec, "--lambda-max", "10"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert f"argument --lens: {message}" in captured.err
+
+
 def test_span_flags_deficient_prime_rank(capsys):
     # only lambda = 2 available: rank 1 < 6
     code, out, err = run(capsys, "span", "--k", "3", "--lambda-max", "2")

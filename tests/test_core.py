@@ -151,6 +151,9 @@ def test_every_entry_point_refuses_n_below_2(call, args):
         (t_apply, ([[1, 2]],), ValueError, "matrix must be square"),
         (sphere_counting, (2, -2), ValueError, "cutoff must be nonnegative, got -2"),
     ]
+] + [
+    pytest.param(remainder_experiment, (make_lens_space(2, 5, [1, 2]), 10, 0), ValueError,
+                 "need at least one sample", id="remainder_experiment-no-samples"),
 ])
 def test_refusals(call, args, error, message):
     with pytest.raises(error) as info:

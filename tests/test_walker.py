@@ -25,7 +25,7 @@ from kohnspec.asymptotics import (
     remainder_experiment,
     weyl_ratio_series,
 )
-from kohnspec.core import DEFAULT_BUDGET, ResourceLimit, make_lens_space
+from kohnspec.core import DEFAULT_BUDGET, ResourceLimit, _congruence_gcd, make_lens_space
 from kohnspec.invariant import dim_cell, dim_invariant
 from kohnspec.isospectral import c_matrix, spectra_equal_up_to
 from kohnspec.spectrum import (
@@ -231,7 +231,7 @@ def test_lines_list_each_cell_once_with_its_index(n):
 def test_kernel_forms_agree_on_every_line(space, half):
     # The sieve's and the writer's form of one line, the count's, and the cell route.
     kernel, cell = _kernel(space), dim_cell(space)
-    lines = list(spectrum._line_cells(half, space.n, kernel.step))
+    lines = list(spectrum._line_cells(half, space.n, _congruence_gcd(space)))
     dims, prefix = kernel.dims(lines), kernel.prefix()
     # Step 1 lists each line's whole range [lo, hi).
     for (_, f, whole, _), (_, fixed, ms, _) in zip(spectrum._line_cells(half, space.n, 1),
