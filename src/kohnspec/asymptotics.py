@@ -87,7 +87,7 @@ def weyl_ratio_series(
     check_cutoff(lambda_max)
     lams = range(stride, lambda_max + 1, stride)
     # Each cutoff >= 2 costs a space 3 line evaluations at least: charged before any is listed.
-    charge(6 * len(lams), budget)
+    charge(6 * (lambda_max // stride), budget)  # len(lams), which overflows past 2^63.
     sphere = make_lens_space(space.n, 1, [1] * space.n)
     counts = _counts([space, sphere], lams, budget)
     return [
@@ -324,7 +324,7 @@ def remainder_experiment(
     n = space.n
     stride = 2 * (lambda_max // (2 * samples))
     lams = range(stride, samples * stride + 1, stride)
-    charge(3 * len(lams), budget)  # The lower bound of `weyl_ratio_series`.
+    charge(3 * samples, budget)  # The lower bound of `weyl_ratio_series`; samples = len(lams).
     (counts,) = _counts([space], lams, budget)
     predicted = _predicted_constant(space)  # After the charge: a refusal spends no quadrature.
     rows = []

@@ -51,10 +51,6 @@ def _resolve_budget(args) -> int:
     return DEFAULT_BUDGET
 
 
-def _is_prime(k: int) -> bool:
-    return k > 1 and all(k % f for f in range(2, math.isqrt(k) + 1))
-
-
 def _nonnegative(value: str) -> int:
     number = int(value)
     if number < 0:
@@ -178,7 +174,7 @@ _MEMBER = "        [\n          %d,\n          %d\n        ]"
 def cmd_classify(args) -> int:
     """Print `json.dumps` of the classes with indent=2, one class at a time."""
     classes = isospectral.classify_all(args.k, args.budget)
-    guaranteed = args.k != 2 and _is_prime(args.k)
+    guaranteed = args.k != 2 and isospectral._totient(args.k) == args.k - 1
     out = sys.stdout
     out.write('{\n  "k": %d,\n  "spectral_equivalence_guaranteed": %s,\n  "classes": [\n'
               % (args.k, "true" if guaranteed else "false"))
@@ -198,14 +194,14 @@ def cmd_cmatrix(args) -> int:
 
 
 def cmd_span(args) -> int:
-    rank = isospectral.span_dimension(args.k, range(2, args.lambda_max + 1, 2), args.budget)
-    print(rank)
     k = args.k
-    if _is_prime(k) and rank < k * (k + 1) // 2:
-        print(
-            f"span rank {rank} below predicted {k * (k + 1) // 2} for prime k={k}",
-            file=sys.stderr,
-        )
+    # The prime test, isqrt(k) trial divisions by `_totient`; k < 2 is left to the library.
+    charge(math.isqrt(max(k, 0)), args.budget)
+    rank = isospectral.span_dimension(k, range(2, args.lambda_max + 1, 2), args.budget)
+    print(rank)
+    full = k * (k + 1) // 2
+    if rank < full and isospectral._totient(k) == k - 1:
+        print(f"span rank {rank} below predicted {full} for prime k={k}", file=sys.stderr)
         return 3
     return 0
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from kohnspec import isospectral, spectrum
-from kohnspec.cli import _is_prime, build_parser, main
+from kohnspec.cli import build_parser, main
 from kohnspec.core import DEFAULT_BUDGET, parse_lens_spec
 from kohnspec.invariant import dim_invariant_dp
 from test_spectrum import spectrum_to_json_obj
@@ -212,11 +212,21 @@ def test_classify_composite_flagged(capsys):
     assert json.loads(out)["spectral_equivalence_guaranteed"] is False
 
 
+def is_prime(k):
+    """Trial division by every f <= sqrt(k): the oracle the CLI's prime test is held to."""
+    return k > 1 and all(k % f for f in range(2, math.isqrt(k) + 1))
+
+
+def test_the_cli_prime_test_agrees_with_trial_division():
+    # classify and span call k prime when phi(k) = k - 1.
+    assert all((isospectral._totient(k) == k - 1) == is_prime(k) for k in range(1, 10**4 + 1))
+
+
 def classify_document(k):
     """The classify output as the json module lays it out, indent=2."""
     obj = {
         "k": k,
-        "spectral_equivalence_guaranteed": k != 2 and _is_prime(k),
+        "spectral_equivalence_guaranteed": k != 2 and is_prime(k),
         "classes": [
             {"representative": list(rep), "members": [list(m) for m in members]}
             for rep, members in isospectral.classify_all(k).items()
@@ -288,6 +298,23 @@ def test_a_rejected_lens_spec_exits_2_with_its_rule(capsys, spec, message):
     captured = capsys.readouterr()
     assert exit_info.value.code == 2 and captured.out == ""
     assert f"argument --lens: {message}" in captured.err
+
+
+def test_a_full_span_rank_runs_no_prime_test(capsys, monkeypatch):
+    def untested(k):
+        raise AssertionError(f"prime test run on k={k}")
+
+    monkeypatch.setattr(isospectral, "_totient", untested)
+    code, out, _ = run(capsys, "span", "--k", "3", "--lambda-max", "200")
+    assert (code, out) == (0, "6\n")
+
+
+def test_span_prices_its_prime_test_before_any_rank(capsys):
+    # isqrt(10^16 + 61) = 10^8 trial divisions; the prime k is refused at once.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "span", "--k", "10000000000000061", "--lambda-max", "2")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out, err) == (2, "", "error: work 100000000 exceeds budget 10000000\n")
 
 
 def test_span_flags_deficient_prime_rank(capsys):
@@ -749,6 +776,51 @@ def test_dim_and_genfunc_check_charge_their_work(capsys, monkeypatch):
         monkeypatch.setenv("KOHN_LENS_BUDGET", str(work))
         code, out, _ = run(capsys, *argv)
         assert code == 0 and json.loads(out)["cutoff"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["weyl", "--lens", "5:1,2", "--lambda-max", str(10**20), "--stride", "2"],
+                 id="weyl"),
+    pytest.param(["remainder", "--lens", "5:1,2", "--lambda-max", str(10**30),
+                  "--samples", str(10**20)], id="remainder"),
+])
+def test_sweeps_past_2_63_cutoffs_are_priced_not_listed(capsys, argv):
+    # 3 * 10^20 work either way: 6 per cutoff of a sweep, 3 per sample.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: work 300000000000000000000 exceeds budget 10000000\n"
+
+
+HUGE = str(10**30)
+HUGE_REQUESTS = {
+    "count": ["count", "--lens", "5:1,2", "--lambda-max", HUGE],
+    "count-n3": ["count", "--lens", "7:1,2,3", "--lambda-max", HUGE],
+    "spectrum": ["spectrum", "--lens", "5:1,2", "--lambda-max", HUGE],
+    "weyl": ["weyl", "--lens", "5:1,2", "--lambda-max", HUGE, "--stride", "2"],
+    "weyl-n3": ["weyl", "--lens", "7:1,2,3", "--lambda-max", HUGE, "--stride", str(10**20)],
+    "isospec": ["isospec", "--lens", "5:1,2", "--lens", "5:1,3", "--lambda-max", HUGE],
+    "isospec-n3": ["isospec", "--lens", "7:1,2,3", "--lens", "7:1,2,4", "--lambda-max", HUGE],
+    "classify": ["classify", "--k", "10000000000000061"],
+    "cmatrix-k": ["cmatrix", "--k", "10000000000000061", "--lambda", "2"],
+    "cmatrix-lambda": ["cmatrix", "--k", "3", "--lambda", HUGE],
+    "span-k": ["span", "--k", "10000000000000061", "--lambda-max", "2"],
+    "span-lambda": ["span", "--k", "3", "--lambda-max", HUGE],
+    "genfunc-cutoff": ["genfunc-check", "--lens", "5:1,2", "--cutoff", HUGE],
+    "genfunc-points": ["genfunc-check", "--lens", "5:1,2", "--points", HUGE],
+    "dim-n3": ["dim", "--lens", "7:1,2,3", "--p", HUGE, "--q", "1"],
+    "bounds-check": ["bounds-check", "--n-max", HUGE],
+    "remainder": ["remainder", "--lens", "5:1,2", "--lambda-max", HUGE, "--samples", str(10**20)],
+    "remainder-one": ["remainder", "--lens", "5:1,2", "--lambda-max", HUGE, "--samples", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", HUGE_REQUESTS.values(), ids=HUGE_REQUESTS.keys())
+def test_every_subcommand_ends_at_once_on_a_huge_request(capsys, argv):
+    # Answered or refused: never a traceback, never a loop over the huge number.
+    start = time.perf_counter()
+    code, _, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 2, 3)
 
 
 def test_span_and_cmatrix_budget_flags(capsys):
