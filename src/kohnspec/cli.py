@@ -89,10 +89,12 @@ def _emit_json(obj) -> None:
     sys.stdout.write("\n")
 
 
+_DIM_ROUTES = {"auto": dim_invariant, "dp": dim_invariant_dp,
+               "recurrence": dim_invariant_recurrence, "bruteforce": dim_invariant_bruteforce}
+
+
 def cmd_dim(args) -> int:
-    routes = {"auto": dim_invariant, "dp": dim_invariant_dp,
-              "recurrence": dim_invariant_recurrence, "bruteforce": dim_invariant_bruteforce}
-    print(routes[args.method](args.lens, args.p, args.q, args.budget))
+    print(_DIM_ROUTES[args.method](args.lens, args.p, args.q, args.budget))
     return 0
 
 
@@ -258,11 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("dim", cmd_dim, [lens, budget], help="invariant eigenspace dimension at one bidegree")
     p.add_argument("--p", type=_nonnegative, required=True)
     p.add_argument("--q", type=_nonnegative, required=True)
-    p.add_argument(
-        "--method",
-        choices=["auto", "dp", "recurrence", "bruteforce"],
-        default="auto",
-    )
+    p.add_argument("--method", choices=_DIM_ROUTES, default="auto")
 
     p = add("spectrum", cmd_spectrum, [lens, cutoff, out, budget],
             help="eigenvalue -> multiplicity table")

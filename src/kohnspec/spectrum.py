@@ -21,8 +21,9 @@ function in closed form, and ascending cutoffs share their column terms.
 Each count is memoized per space for the last eight spaces
 (`_count_memo`), so a sweep and a count at its cutoffs compute each N_L
 once; a memo hit is charged like a miss.
-`counting_grid_size` and the lemma sums of `asymptotics` are line sums
-too.  Tables, counts and comparisons check their work with `core.charge`.
+`_cells` (a sieve's cells, the one count under `counting_grid_size` and
+both sieve prices) and the lemma sums of `asymptotics` are line sums too.
+Tables, counts and comparisons check their work with `core.charge`.
 """
 from __future__ import annotations
 
@@ -105,8 +106,8 @@ def _charge_sieves(spaces, lambda_max: int, budget: int | None) -> None:
     check_cutoff(lambda_max)
     if budget is None:
         return
-    # Each costs lam/2 at least (n = 2: the row q = 1 holds lam/2 cells; n >= 3:
-    # the lam/2 + 1 profile rows), so a huge cutoff is refused before lines are summed.
+    # Each fills lam/2 + 1 multiplicities at any n and g, so a huge cutoff is
+    # refused before the lines of its price are summed.
     charge(len(spaces) * (lambda_max // 2), budget)
     charge(sum(_kernel(space).sieve_work(lambda_max // 2) for space in spaces), budget)
 
@@ -188,9 +189,9 @@ def _kernel_2(space: LensSpace) -> _Kernel:
     entries: residue r reaches about half / (d max(r, 1)).  `prefix` sums
     x = c k + e cells from the base row's prefix sums at k and e and the
     admissible residues, k/d per full block and `part` in the last.  A
-    sieve is charged one unit per cell plus the base table's `_grid_work`,
-    k^2; counts that fill, its k^2 prefix sums and 3 isqrt(half) per cutoff,
-    one per prefix call at most.
+    sieve is charged one unit per cell it slices (`_cells`) plus the base
+    table's `_grid_work`, k^2; counts that fill, its k^2 prefix sums and
+    3 isqrt(half) per cutoff, one per prefix call at most.
     """
     k, d = space.k, _congruence_gcd(space)
     period = k // d
@@ -229,8 +230,7 @@ def _kernel_2(space: LensSpace) -> _Kernel:
     def count_work(halves: list[int]) -> int:
         return _grid_work(space, k - 1) + k * k + sum(3 * isqrt(h) for h in halves)
 
-    return _Kernel(dims, prefix,
-                   lambda half: counting_grid_size(2, 2 * half) + _grid_work(space, k - 1),
+    return _Kernel(dims, prefix, lambda half: _cells(half, 2, d) + _grid_work(space, k - 1),
                    count_work)
 
 
@@ -240,9 +240,9 @@ def _kernel_n(space: LensSpace) -> _Kernel:
 
     Over m < x, N(f, m) sums to the dot product of plain row f with
     cumulative row x - 1: a zero weight appended makes the profile
-    cumulative.  A sieve is charged 2k per cell it evaluates (two dot
-    products of k entries at most; `write_json` with contributors does up
-    to twice that) plus the profile rows its lines reach, p, q <= half.
+    cumulative.  A sieve is charged 2k per cell it evaluates, g | f - m
+    (`_cells`; two dot products of k entries at most, `write_json` with
+    contributors up to twice that), plus the profile rows it reaches, p, q <= half.
     Counts are charged k per dot product, two per prefix call (at most one
     call per row, two per column: 3 isqrt(half) per cutoff, `lines` in all),
     and per profile row the `_profile_work` of a row of n + 1 weights
@@ -267,9 +267,7 @@ def _kernel_n(space: LensSpace) -> _Kernel:
         return line
 
     def sieve_work(half: int) -> int:
-        # The cells `_line_cells` lists: the m = f mod g of each line.
-        cells = sum(len(ms) for _, _, ms, _ in _line_cells(half, n, g))
-        return 2 * k * cells + _profile_work(space, half + 1)
+        return 2 * k * _cells(half, n, g) + _profile_work(space, half + 1)
 
     def count_work(halves: list[int]) -> int:
         largest, lines = max(halves, default=0), sum(3 * isqrt(h) for h in halves)
@@ -384,11 +382,17 @@ def _lines(half: int, n: int):
 def counting_grid_size(n: int, lam: int) -> int:
     """Number of (p, q) pairs the counting function sums over at cutoff lam.
 
-    n below 2 raises DimensionTooSmall and a negative lam ValueError.
+    `_cells` at g = 1; n below 2 raises DimensionTooSmall and a negative lam ValueError.
     """
     check_dimension(n)
     check_cutoff(lam)
-    return _sum_lines([lam // 2], n, lambda f, x: x)[0]
+    return _cells(lam // 2, n, 1)
+
+
+def _cells(half: int, n: int, g: int) -> int:
+    """Number of cells q >= 1, q(p + n - 1) <= half with g | p - q, the
+    ones `_line_cells(half, n, g)` lists: a prefix counts m < x, m = f mod g."""
+    return _sum_lines([half], n, lambda f, x: (x - f % g + g - 1) // g)[0]
 
 
 def spectrum_to_csv(table: SpectrumTable) -> str:

@@ -523,6 +523,20 @@ def test_isospec_budget_flag(capsys):
     assert code == 0 and json.loads(out)["spectra_equal"] is False
 
 
+def test_spectrum_at_d_above_one_is_charged_the_cells_it_slices(capsys):
+    # L(12;1,7) has d = 6: its sieve slices the cells with 6 | p - q, 33,533
+    # of the 201,177 under the hyperbola at lambda = 40000, plus 12^2.
+    argv = ["spectrum", "--lens", "12:1,7", "--lambda-max", "40000"]
+    code, out, err = run(capsys, *argv, "--budget", "33676")
+    assert code == 2 and out == "" and "work 33677 exceeds budget 33676" in err
+    code, out, err = run(capsys, *argv, "--budget", "33677")
+    assert code == 0 and err == "" and out == run(capsys, *argv)[1]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--lens", "12:1,7", "--lambda-max", "7825548")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "work 10000008 exceeds budget 10000000" in err
+
+
 def test_dim_auto_builds_no_base_table(capsys, monkeypatch):
     from kohnspec import invariant
 

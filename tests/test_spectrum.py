@@ -169,6 +169,32 @@ def test_n3_sieve_price_covers_its_dot_products(monkeypatch, space, lambda_max):
     dot_work = spectrum._kernel(space).sieve_work(half) - _profile_work(space, half + 1)
     assert space.k * len(dots) <= dot_work <= 2 * space.k * len(dots)
 
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3000), st.integers(2, 5), st.integers(1, 12))
+@example(200, 2, 3)
+@example(3000, 5, 12)
+def test_cells_are_the_cells_the_sieve_lists(half, n, g):
+    from kohnspec import spectrum
+
+    cells = spectrum._cells(half, n, g)
+    assert cells == sum(len(ms) for _, _, ms, _ in spectrum._line_cells(half, n, g))
+    assert cells == sum(1 for q in range(1, half + 1) for p in range(half // q - n + 2)
+                        if (p - q) % g == 0)
+    assert spectrum.counting_grid_size(n, 2 * half) == spectrum._cells(half, n, 1)
+
+
+@pytest.mark.parametrize("k, weights, d", [(12, [1, 7], 6), (8, [1, 3], 2), (9, [1, 4], 3),
+                                           (3, [1, 1], 3), (7, [1, 2], 1)])
+def test_n2_sieve_price_is_its_sliced_cells_and_base_table(k, weights, d):
+    from kohnspec import spectrum
+
+    space = make_lens_space(2, k, weights)
+    for half in (0, 1, 200, 20000):
+        cells = sum(len(ms) for _, _, ms, _ in spectrum._line_cells(half, 2, d))
+        assert spectrum._kernel(space).sieve_work(half) == cells + k * k
+
+
 def test_csv_round_trip():
     space = make_lens_space(2, 3, [1, 2])
     table = build_spectrum(space, 30)

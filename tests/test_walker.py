@@ -283,8 +283,10 @@ def test_budget_charges_each_evaluation_before_the_walk(monkeypatch):
     build_spectrum(space, 400, budget=work)
     multiplicity_table(space, 400, budget=work)
     other = make_lens_space(2, 3, [1, 1])
-    # Two sieves, each charged as above, together.
-    assert spectra_equal_up_to(space, other, 400, budget=2 * work) is False
+    # Two sieves charged together; d = 3 for the other, whose sieve is charged
+    # only the cells with 3 | p - q, plus its k^2.
+    both = work + spectrum._cells(200, 2, 3) + 9
+    assert spectra_equal_up_to(space, other, 400, budget=both) is False
     calls = []
     monkeypatch.setattr(
         spectrum, "dim_cell", lambda space: lambda *args: calls.append(args)
@@ -296,7 +298,7 @@ def test_budget_charges_each_evaluation_before_the_walk(monkeypatch):
     with pytest.raises(ResourceLimit):
         multiplicity_table(space, 400, budget=work - 1)
     with pytest.raises(ResourceLimit):
-        spectra_equal_up_to(space, other, 400, budget=2 * work - 1)
+        spectra_equal_up_to(space, other, 400, budget=both - 1)
     assert calls == []
     monkeypatch.undo()
     # n = 2 setup: k^2 for the base table's fill, k^2 prefix sums; both
